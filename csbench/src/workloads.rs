@@ -97,7 +97,9 @@ pub struct LayerCounts {
     pub shard_busy_ns: Vec<u64>,
     /// Wall time of the fleet's worker pool.
     pub pool_wall_ns: u64,
-    /// Worker threads in the pool.
+    /// Worker threads in the pool: `work_steal` spawns one per available
+    /// core, at most one per item. A thread that claims no item still
+    /// counts, as idle.
     pub threads: usize,
     /// Checkpoint bytes written.
     pub persist_bytes: u64,
