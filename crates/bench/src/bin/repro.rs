@@ -1,54 +1,20 @@
 //! Regenerates every table and figure of "Provisioning On-line Games".
 //!
 //! ```text
-//! repro [OPTIONS] <ARTIFACT>...
-//!
-//! ARTIFACT:  table1 table2 table3 table4 fig1..fig15
-//!            ablate-tick ablate-population ablate-nat-capacity
-//!            ablate-nat-buffer route-cache source-model web-vs-game
-//!            all        every artifact above
-//!            main       tables I-III and figures 1-13
-//!            nat        table IV and figures 14-15
-//!
-//! OPTIONS:
-//!   --seed N           RNG seed (default 2002)
-//!   --hours H          main-trace length in hours (default 24)
-//!   --full-week        use the paper's full 626,477 s trace (~7.25 days)
-//!   --csv DIR          also write key figures' data series as CSV into DIR
-//!   --progress         heartbeat on stderr (sim/wall ratio, ev/s, ETA)
-//!   --metrics-out FILE metrics snapshot per artifact (text + JSON lines)
-//!   --metrics-format F metrics-out format: text, json, or prom
-//!                      (default: commented text + JSON lines combined)
-//!   --trace-out FILE   event journal per world run, written as
-//!                      FILE -> <stem>.<run>.<ext>; a .json extension
-//!                      selects Chrome trace-event format (open in
-//!                      Perfetto / chrome://tracing), anything else JSONL
-//!   --series-out DIR   sim-time metric series per world run (DIR/main.csv,
-//!                      DIR/nat.csv), sampled on the sim clock
-//!   --series-interval MS  series sampling period in sim-ms (default 1000)
-//!   --profile-out DIR  hierarchical wall-time profile per world run:
-//!                      DIR/<run>.folded (collapsed stacks, flamegraph-
-//!                      ready) and DIR/<run>.trace.json (journal merged
-//!                      with profile spans, Perfetto-openable), plus a
-//!                      ranked self-time table on stderr
-//!   --chaos PROFILE    run under a fault-injection campaign:
-//!                      none modem-burst reorder-dup last-mile-loss nat-exhaust
-//!   --chaos-seed N     impairment seed (default: same as --seed)
-//!   --fleet N          simulate a facility of N independent servers on the
-//!                      work-stealing pool, merge their analysis state, and
-//!                      print the provisioning report (pps/bandwidth mean
-//!                      and p95/p99, per-player slope, aggregate Hurst,
-//!                      uplink sizing); may be used without artifacts
-//!   --fleet-minutes M  simulated minutes per fleet server (default 30)
-//!   --serve ADDR       stream the run live over HTTP (GET /metrics,
-//!                      /events (SSE), /series, /status, /report,
-//!                      /healthz, /shards, /profile); the server runs
-//!                      for the duration of the repro
-//!   --serve-linger S   keep serving S seconds after the run finishes
-//!                      (requires --serve)
-//!   --speed S          replay speed: a multiplier (1 = wall clock,
-//!                      8 = 8x fast-forward) or "max" (default: unpaced)
+//! repro [OPTIONS] <ARTIFACT|all|main|nat>...
+//! repro fleet merge OUT_REPORT STATE_FILE...
+//! repro fleet work --fleet N --fleet-state-dir DIR --shards LO:HI [OPTIONS]
+//! repro fleet coordinate --fleet N --fleet-state-dir DIR [OPTIONS]
 //! ```
+//!
+//! An ARTIFACT is one table, figure or ablation (`repro --help` lists
+//! them); `main` selects tables I-III and figures 1-13, `nat` table IV and
+//! figures 14-15, and `all` every artifact.
+//!
+//! Every option is one row of [`FLAGS`]: its name, its value placeholder,
+//! one help line, and the commands that accept it. All three commands
+//! parse against that table into one [`Plan`], and `repro --help` renders
+//! it.
 //!
 //! Instrumentation is observe-only: a seeded run's artifact output is
 //! byte-identical with and without `--progress`/`--metrics-out`/
@@ -57,9 +23,11 @@
 //! packets, and `--chaos none` is byte-identical to no `--chaos` at all.
 
 use csprov::chaos::{self, ChaosReport, ChaosSpec};
-use csprov::experiments::{ablations, aggregate, figures, nat, tables, web, ExperimentId};
-use csprov::fleet::ShardState;
-use csprov::fleet::{self, FleetConfig};
+use csprov::experiments::{
+    ablations, aggregate, figures, nat, nat::NatRun, tables, web, ExperimentId,
+};
+use csprov::fleet::coord::{CoordEvent, ShardRange};
+use csprov::fleet::{self, FleetConfig, FleetEvent, FleetRun, ProvisioningReport, ShardState};
 use csprov::pipeline::MainRun;
 use csprov_analysis::report::to_csv;
 use csprov_bench::harness::{render_bench_json, BenchResult};
@@ -70,11 +38,14 @@ use csprov_obs::{
     SeriesSampler, ShardHealthBoard, TraceEvent, SHARD_RUNNING,
 };
 use csprov_router::EngineConfig;
-use csprov_serve::ServeShared;
+use csprov_serve::{ServeHandle, ServeShared};
 use csprov_sim::{Pacer, PacerStats, SimDuration, Simulator, Speed};
 use std::cell::{Cell, RefCell};
+use std::fmt::Display;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::rc::Rc;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -84,6 +55,9 @@ const OBSERVER_STRIDE: u64 = 8192;
 
 /// Wall interval between snapshot refreshes pushed to the serving plane.
 const SERVE_REFRESH: Duration = Duration::from_millis(200);
+
+/// `fleet merge` takes positional arguments only, so it has no flag rows.
+const MERGE_USAGE: &str = "repro fleet merge OUT_REPORT STATE_FILE...";
 
 /// Rendering for `--metrics-out`. The default keeps the legacy combined
 /// dump (per-artifact commented text + JSON lines).
@@ -95,7 +69,116 @@ enum MetricsFormat {
     Prom,
 }
 
-struct Options {
+/// The commands that take flags: the main run, `fleet work` and `fleet
+/// coordinate`. Each is one bit of [`Flag::scope`].
+#[derive(Clone, Copy, PartialEq)]
+enum Command {
+    Run = 1,
+    Work = 2,
+    Coordinate = 4,
+}
+
+const RUN: u8 = Command::Run as u8;
+const WORK: u8 = Command::Work as u8;
+const COORD: u8 = Command::Coordinate as u8;
+/// Flags that describe the fleet itself. Every command accepts them, so a
+/// worker, its coordinator and an in-process `--fleet` run derive the same
+/// shard seeds.
+const FLEET: u8 = RUN | WORK | COORD;
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder; empty for a switch.
+    value: &'static str,
+    /// The commands that accept the flag.
+    scope: u8,
+    /// The commands that cannot run without it.
+    required: u8,
+    help: &'static str,
+}
+
+/// Every flag of every command. [`Plan::set`] gives each its meaning.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--seed",           value: "N",              scope: FLEET,       required: 0,            help: "RNG seed (default 2002)" },
+    Flag { name: "--hours",          value: "H",              scope: RUN,         required: 0,            help: "main-trace length in hours, finite and > 0 (default 24)" },
+    Flag { name: "--full-week",      value: "",               scope: RUN,         required: 0,            help: "use the paper's full 626,477 s trace (~7.25 days)" },
+    Flag { name: "--csv",            value: "DIR",            scope: RUN,         required: 0,            help: "also write key figures' data series as CSV into DIR" },
+    Flag { name: "--progress",       value: "",               scope: RUN,         required: 0,            help: "heartbeat on stderr (sim/wall ratio, ev/s, ETA)" },
+    Flag { name: "--metrics-out",    value: "FILE",           scope: RUN,         required: 0,            help: "metrics snapshot per artifact" },
+    Flag { name: "--metrics-format", value: "text|json|prom", scope: RUN,         required: 0,            help: "--metrics-out format (default: commented text + JSON lines)" },
+    Flag { name: "--trace-out",      value: "FILE",           scope: RUN,         required: 0,            help: "event journal per world run as <stem>.<run>.<ext>; .json selects Chrome trace-event format, anything else JSONL" },
+    Flag { name: "--series-out",     value: "DIR",            scope: RUN,         required: 0,            help: "sim-time metric series per world run (DIR/<run>.csv)" },
+    Flag { name: "--series-interval", value: "MS",             scope: RUN,         required: 0,            help: "series sampling period in sim-ms (default 1000)" },
+    Flag { name: "--profile-out",    value: "DIR",            scope: RUN,         required: 0,            help: "wall-time profile per world run: DIR/<run>.folded, DIR/<run>.trace.json and a ranked self-time table on stderr" },
+    Flag { name: "--chaos",          value: "PROFILE",        scope: RUN,         required: 0,            help: "run under a fault-injection campaign (profiles below)" },
+    Flag { name: "--chaos-seed",     value: "N",              scope: RUN,         required: 0,            help: "impairment seed (default: same as --seed)" },
+    Flag { name: "--fleet",          value: "N",              scope: FLEET,       required: WORK | COORD, help: "simulate a facility of N servers, merge their analysis state and print the provisioning report" },
+    Flag { name: "--fleet-minutes",  value: "M",              scope: FLEET,       required: 0,            help: "simulated minutes per fleet server (default 30)" },
+    Flag { name: "--fleet-state-dir", value: "DIR",            scope: FLEET,       required: WORK | COORD, help: "checkpoint every finished shard into DIR" },
+    Flag { name: "--resume",         value: "",               scope: RUN,         required: 0,            help: "load valid checkpoints from --fleet-state-dir instead of recomputing" },
+    Flag { name: "--fleet-retries",  value: "N",              scope: FLEET,       required: 0,            help: "attempts per shard before it is lost (default 3)" },
+    Flag { name: "--fleet-fail",     value: "SPEC",           scope: FLEET,       required: 0,            help: "fault plan SHARD:COUNT|SHARD:forever|SHARD:stall=MS,..." },
+    Flag { name: "--shards",         value: "LO:HI",          scope: WORK,        required: WORK,         help: "the shard range this worker runs" },
+    Flag { name: "--workers",        value: "W",              scope: COORD,       required: 0,            help: "worker processes to spawn (default 2)" },
+    Flag { name: "--fan-in",         value: "K",              scope: COORD,       required: 0,            help: "merge-tree fan-in, >= 2 (default 16)" },
+    Flag { name: "--serve",          value: "ADDR",           scope: RUN | COORD, required: 0,            help: "stream the run live over HTTP (/metrics /events /series /status /report /healthz /shards /profile)" },
+    Flag { name: "--serve-linger",   value: "S",              scope: RUN | COORD, required: 0,            help: "keep serving S seconds after the run finishes" },
+    Flag { name: "--speed",          value: "N|max",          scope: RUN,         required: 0,            help: "replay speed multiplier (1 = wall clock) or max (default: unpaced)" },
+];
+
+impl Command {
+    fn name(self) -> &'static str {
+        match self {
+            Command::Run => "repro",
+            Command::Work => "repro fleet work",
+            Command::Coordinate => "repro fleet coordinate",
+        }
+    }
+
+    /// The command, its required flags, and its operands.
+    fn synopsis(self) -> String {
+        let mut line = self.name().to_string();
+        for flag in FLAGS.iter().filter(|f| f.required & self as u8 != 0) {
+            line += &format!(" {} {}", flag.name, flag.value);
+        }
+        line += " [OPTIONS]";
+        if self == Command::Run {
+            line += " <ARTIFACT|all|main|nat>...";
+        }
+        line
+    }
+}
+
+/// `command`'s usage, rendered from [`FLAGS`].
+fn usage(command: Command) -> String {
+    let mut out = format!("usage: {}\n", command.synopsis());
+    if command == Command::Run {
+        out += &format!("       {MERGE_USAGE}\n");
+        for sub in [Command::Work, Command::Coordinate] {
+            out += &format!("       {}\n", sub.synopsis());
+        }
+    }
+    out += "options:\n";
+    for flag in FLAGS.iter().filter(|f| f.scope & command as u8 != 0) {
+        let head = format!("{} {}", flag.name, flag.value);
+        out += &format!("  {:<32}{}\n", head.trim_end(), flag.help);
+    }
+    if command == Command::Run {
+        let artifacts: Vec<String> = ExperimentId::all().iter().map(|a| a.to_string()).collect();
+        out += &format!("artifacts: {}\n", artifacts.join(" "));
+        out += &format!("chaos profiles: {}\n", chaos::names().join(", "));
+    }
+    out
+}
+
+/// What one invocation will do, parsed and checked before any of it runs.
+/// The main run, `fleet work` and `fleet coordinate` all parse into it.
+struct Plan {
+    command: Command,
+    /// Every flag given, in order, with its value.
+    given: Vec<(&'static Flag, Option<String>)>,
     seed: u64,
     hours: f64,
     full_week: bool,
@@ -112,236 +195,259 @@ struct Options {
     fleet: Option<usize>,
     fleet_minutes: u64,
     fleet_state_dir: Option<String>,
-    fleet_resume: bool,
+    resume: bool,
     fleet_retries: Option<u32>,
     fleet_fail: Vec<fleet::FailSpec>,
+    shards: Option<ShardRange>,
+    workers: usize,
+    fan_in: usize,
     serve: Option<String>,
     serve_linger_secs: u64,
     speed: Speed,
-    ingest: Option<IngestPath>,
     artifacts: Vec<ExperimentId>,
 }
 
-/// Which analyzer delivery path `--ingest` pins (normally the columnar
-/// fast path is on and the flag is only used to cross-check the two).
-#[derive(Clone, Copy)]
-enum IngestPath {
-    Columnar,
-    PerRecord,
-}
+impl Plan {
+    /// Walks `args` against [`FLAGS`] for `command`. An empty error asks
+    /// for the usage alone (`-h`/`--help`).
+    fn parse(command: Command, args: &[String]) -> Result<Plan, String> {
+        let mut plan = Plan {
+            command,
+            given: Vec::new(),
+            seed: 2002,
+            hours: 24.0,
+            full_week: false,
+            csv_dir: None,
+            progress: false,
+            metrics_out: None,
+            metrics_format: MetricsFormat::Combined,
+            trace_out: None,
+            series_out: None,
+            series_interval_ms: 1000,
+            profile_out: None,
+            chaos: None,
+            chaos_seed: None,
+            fleet: None,
+            fleet_minutes: 30,
+            fleet_state_dir: None,
+            resume: false,
+            fleet_retries: None,
+            fleet_fail: Vec::new(),
+            shards: None,
+            workers: 2,
+            fan_in: 16,
+            serve: None,
+            serve_linger_secs: 0,
+            speed: Speed::Max,
+            artifacts: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "-h" || arg == "--help" {
+                return Err(String::new());
+            }
+            let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+                if arg.starts_with('-') {
+                    return Err(format!("unknown option: {arg}"));
+                }
+                if command != Command::Run {
+                    return Err(format!("unexpected argument: {arg}"));
+                }
+                plan.add_artifacts(arg)?;
+                continue;
+            };
+            if flag.scope & command as u8 == 0 {
+                return Err(format!("{} does not accept {}", command.name(), flag.name));
+            }
+            let value = match flag.value {
+                "" => None,
+                _ => Some(
+                    args.next()
+                        .ok_or_else(|| format!("{} needs {}", flag.name, flag.value))?,
+                ),
+            };
+            plan.set(flag.name, value.map_or("", String::as_str))?;
+            plan.given.push((flag, value.cloned()));
+        }
+        plan.validate()?;
+        Ok(plan)
+    }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        seed: 2002,
-        hours: 24.0,
-        full_week: false,
-        csv_dir: None,
-        progress: false,
-        metrics_out: None,
-        metrics_format: MetricsFormat::Combined,
-        trace_out: None,
-        series_out: None,
-        series_interval_ms: 1000,
-        profile_out: None,
-        chaos: None,
-        chaos_seed: None,
-        fleet: None,
-        fleet_minutes: 30,
-        fleet_state_dir: None,
-        fleet_resume: false,
-        fleet_retries: None,
-        fleet_fail: Vec::new(),
-        serve: None,
-        serve_linger_secs: 0,
-        speed: Speed::Max,
-        ingest: None,
-        artifacts: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
+    /// One artifact, or a group: `all`, `main` (tables I-III and figures
+    /// 1-13) or `nat` (table IV and figures 14-15).
+    fn add_artifacts(&mut self, name: &str) -> Result<(), String> {
+        let all = ExperimentId::all();
+        match name {
+            "all" => self.artifacts = all,
+            "main" => self
+                .artifacts
+                .extend(all.into_iter().filter(|a| a.needs_main_run())),
+            "nat" => self
+                .artifacts
+                .extend(all.into_iter().filter(|a| a.needs_nat_run())),
+            other => self.artifacts.push(other.parse()?),
+        }
+        Ok(())
+    }
+
+    /// Gives one flag its meaning, checking its value on its own.
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        match flag {
+            "--seed" => self.seed = number(flag, v)?,
             "--hours" => {
-                opts.hours = args
-                    .next()
-                    .ok_or("--hours needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad hours: {e}"))?;
+                self.hours = number(flag, v)?;
+                if !(self.hours.is_finite() && self.hours > 0.0) {
+                    return Err("--hours must be finite and > 0".into());
+                }
             }
-            "--full-week" => opts.full_week = true,
-            "--csv" => opts.csv_dir = Some(args.next().ok_or("--csv needs a directory")?),
-            "--progress" => opts.progress = true,
-            "--metrics-out" => {
-                opts.metrics_out = Some(args.next().ok_or("--metrics-out needs a file")?)
-            }
+            "--full-week" => self.full_week = true,
+            "--csv" => self.csv_dir = Some(v.into()),
+            "--progress" => self.progress = true,
+            "--metrics-out" => self.metrics_out = Some(v.into()),
             "--metrics-format" => {
-                let f = args.next().ok_or("--metrics-format needs a value")?;
-                opts.metrics_format = match f.as_str() {
+                self.metrics_format = match v {
                     "text" => MetricsFormat::Text,
                     "json" => MetricsFormat::Json,
                     "prom" => MetricsFormat::Prom,
-                    other => {
+                    _ => {
                         return Err(format!(
-                            "unknown metrics format '{other}' (known: text, json, prom)"
+                            "unknown metrics format '{v}' (known: text, json, prom)"
                         ))
                     }
-                };
-            }
-            "--trace-out" => opts.trace_out = Some(args.next().ok_or("--trace-out needs a file")?),
-            "--series-out" => {
-                opts.series_out = Some(args.next().ok_or("--series-out needs a directory")?)
-            }
-            "--series-interval" => {
-                opts.series_interval_ms = args
-                    .next()
-                    .ok_or("--series-interval needs a value in ms")?
-                    .parse()
-                    .map_err(|e| format!("bad series interval: {e}"))?;
-                if opts.series_interval_ms == 0 {
-                    return Err("--series-interval must be > 0".into());
                 }
             }
-            "--profile-out" => {
-                opts.profile_out = Some(args.next().ok_or("--profile-out needs a directory")?)
-            }
+            "--trace-out" => self.trace_out = Some(v.into()),
+            "--series-out" => self.series_out = Some(v.into()),
+            "--series-interval" => self.series_interval_ms = positive(flag, v)?,
+            "--profile-out" => self.profile_out = Some(v.into()),
             "--chaos" => {
-                let name = args.next().ok_or("--chaos needs a profile name")?;
-                opts.chaos = Some(chaos::by_name(&name).ok_or_else(|| {
+                self.chaos = Some(chaos::by_name(v).ok_or_else(|| {
                     format!(
-                        "unknown chaos profile '{name}' (known: {})",
+                        "unknown chaos profile '{v}' (known: {})",
                         chaos::names().join(", ")
                     )
-                })?);
+                })?)
             }
-            "--chaos-seed" => {
-                opts.chaos_seed = Some(
-                    args.next()
-                        .ok_or("--chaos-seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad chaos seed: {e}"))?,
-                );
+            "--chaos-seed" => self.chaos_seed = Some(number(flag, v)?),
+            "--fleet" => self.fleet = Some(positive(flag, v)?),
+            "--fleet-minutes" => self.fleet_minutes = positive(flag, v)?,
+            "--fleet-state-dir" => self.fleet_state_dir = Some(v.into()),
+            "--resume" => self.resume = true,
+            "--fleet-retries" => self.fleet_retries = Some(positive(flag, v)?),
+            "--fleet-fail" => self.fleet_fail = parse_fail_plan(v)?,
+            "--shards" => {
+                self.shards = Some(
+                    ShardRange::parse(v)
+                        .ok_or_else(|| format!("bad --shards '{v}' (want LO:HI, HI > LO)"))?,
+                )
             }
-            "--fleet" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fleet needs a server count")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet size: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet must be > 0".into());
-                }
-                opts.fleet = Some(n);
-            }
-            "--fleet-minutes" => {
-                opts.fleet_minutes = args
-                    .next()
-                    .ok_or("--fleet-minutes needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet minutes: {e}"))?;
-                if opts.fleet_minutes == 0 {
-                    return Err("--fleet-minutes must be > 0".into());
+            "--workers" => self.workers = positive(flag, v)?,
+            "--fan-in" => {
+                self.fan_in = number(flag, v)?;
+                if self.fan_in < 2 {
+                    return Err("--fan-in must be >= 2".into());
                 }
             }
-            "--fleet-state-dir" => {
-                opts.fleet_state_dir =
-                    Some(args.next().ok_or("--fleet-state-dir needs a directory")?)
-            }
-            "--resume" => opts.fleet_resume = true,
-            "--fleet-retries" => {
-                let n: u32 = args
-                    .next()
-                    .ok_or("--fleet-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet retries: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet-retries must be > 0".into());
-                }
-                opts.fleet_retries = Some(n);
-            }
-            "--fleet-fail" => {
-                let spec = args.next().ok_or("--fleet-fail needs SHARD:COUNT,...")?;
-                opts.fleet_fail = parse_fail_plan(&spec)?;
-            }
-            "--serve" => {
-                opts.serve = Some(args.next().ok_or("--serve needs an address (host:port)")?)
-            }
-            "--serve-linger" => {
-                opts.serve_linger_secs = args
-                    .next()
-                    .ok_or("--serve-linger needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("bad linger seconds: {e}"))?;
-            }
-            "--speed" => {
-                opts.speed = args.next().ok_or("--speed needs a value")?.parse()?;
-            }
-            "--ingest" => {
-                let path = args.next().ok_or("--ingest needs a value")?;
-                opts.ingest = Some(match path.as_str() {
-                    "columnar" => IngestPath::Columnar,
-                    "per-record" => IngestPath::PerRecord,
-                    other => {
-                        return Err(format!(
-                            "--ingest must be columnar or per-record, got {other}"
-                        ));
-                    }
-                });
-            }
-            "-h" | "--help" => return Err(String::new()),
-            "all" => opts.artifacts = ExperimentId::all(),
-            "main" => {
-                opts.artifacts.extend([
-                    ExperimentId::Table1,
-                    ExperimentId::Table2,
-                    ExperimentId::Table3,
-                ]);
-                opts.artifacts.extend((1..=13).map(ExperimentId::Fig));
-            }
-            "nat" => {
-                opts.artifacts.extend([
-                    ExperimentId::Table4,
-                    ExperimentId::Fig14,
-                    ExperimentId::Fig15,
-                ]);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option: {other}"));
-            }
-            other => {
-                let id: ExperimentId = other.parse()?;
-                opts.artifacts.push(id);
+            "--serve" => self.serve = Some(v.into()),
+            "--serve-linger" => self.serve_linger_secs = number(flag, v)?,
+            "--speed" => self.speed = v.parse()?,
+            _ => return Err(format!("{flag} has no meaning in Plan::set")),
+        }
+        Ok(())
+    }
+
+    /// The cross-flag rules, checked once every flag is known.
+    fn validate(&self) -> Result<(), String> {
+        if self.command == Command::Run && self.artifacts.is_empty() && self.fleet.is_none() {
+            return Err("no artifacts requested".into());
+        }
+        let command = self.command;
+        let required = FLAGS.iter().filter(|f| f.required & command as u8 != 0);
+        if let Some(flag) = required.into_iter().find(|f| !self.has(f.name)) {
+            return Err(format!("{} requires {}", command.name(), flag.name));
+        }
+        const FLEET_ONLY: [&str; 4] = [
+            "--fleet-state-dir",
+            "--resume",
+            "--fleet-retries",
+            "--fleet-fail",
+        ];
+        if self.fleet.is_none() && FLEET_ONLY.iter().any(|f| self.has(f)) {
+            return Err(format!("{} require --fleet", FLEET_ONLY.join("/")));
+        }
+        for (flag, needs) in [
+            ("--resume", "--fleet-state-dir"),
+            ("--serve-linger", "--serve"),
+            ("--metrics-format", "--metrics-out"),
+        ] {
+            if self.has(flag) && !self.has(needs) {
+                return Err(format!("{flag} requires {needs}"));
             }
         }
+        Ok(())
     }
-    if opts.artifacts.is_empty() && opts.fleet.is_none() {
-        return Err("no artifacts requested".into());
+
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| f.name == flag)
     }
-    if opts.metrics_format != MetricsFormat::Combined && opts.metrics_out.is_none() {
-        return Err("--metrics-format requires --metrics-out".into());
+
+    /// The one fleet description `--fleet`, `fleet work` and `fleet
+    /// coordinate` all build. Shard traffic is a pure function of (seed,
+    /// shard index), so processes that build it independently agree.
+    fn fleet_config(&self) -> Option<FleetConfig> {
+        let mut config = FleetConfig::new("fleet", self.seed, self.fleet?, self.fleet_minutes);
+        config.speed = self.speed;
+        if let Some(attempts) = self.fleet_retries {
+            config.retry.attempts = attempts;
+        }
+        config.fail_plan = self.fleet_fail.clone();
+        config.profile = self.profile_enabled();
+        Some(config)
     }
-    if opts.serve_linger_secs > 0 && opts.serve.is_none() {
-        return Err("--serve-linger requires --serve".into());
+
+    /// `fleet work` argv for one range. The coordinator forwards every
+    /// fleet flag it was given, so the worker builds the same fleet.
+    fn worker_args(&self, range: ShardRange) -> Vec<String> {
+        let mut args = vec!["fleet".into(), "work".into(), "--shards".into()];
+        args.push(range.to_string());
+        for (flag, value) in self.given.iter().filter(|(f, _)| f.scope & WORK != 0) {
+            args.push(flag.name.into());
+            args.extend(value.clone());
+        }
+        args
     }
-    if opts.fleet.is_none()
-        && (opts.fleet_state_dir.is_some()
-            || opts.fleet_resume
-            || opts.fleet_retries.is_some()
-            || !opts.fleet_fail.is_empty())
-    {
-        return Err(
-            "--fleet-state-dir/--resume/--fleet-retries/--fleet-fail require --fleet".into(),
-        );
+
+    /// Profiling is on for `--profile-out` (files + table) and for
+    /// `--serve` (the /profile endpoint); both are wall-domain-only
+    /// consumers.
+    fn profile_enabled(&self) -> bool {
+        self.profile_out.is_some() || self.serve.is_some()
     }
-    if opts.fleet_resume && opts.fleet_state_dir.is_none() {
-        return Err("--resume requires --fleet-state-dir".into());
+
+    /// What this run reports, in order: its artifacts, then the fleet.
+    fn labels(&self) -> Vec<String> {
+        let mut labels: Vec<String> = self.artifacts.iter().map(|id| id.to_string()).collect();
+        if self.fleet.is_some() {
+            labels.push("fleet".to_string());
+        }
+        labels
     }
-    Ok(opts)
+}
+
+fn number<T: FromStr<Err = E>, E: Display>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|e| format!("bad {flag} value '{v}': {e}"))
+}
+
+fn positive<T: FromStr<Err = E> + Default + PartialEq, E: Display>(
+    flag: &str,
+    v: &str,
+) -> Result<T, String> {
+    let n = number(flag, v)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be > 0"));
+    }
+    Ok(n)
 }
 
 /// Parses `--fleet-fail SHARD:COUNT,...` — the deterministic fault plan
@@ -351,186 +457,39 @@ fn parse_args() -> Result<Options, String> {
 /// before each attempt (sim results unchanged), which is how the health
 /// watchdog is exercised end to end.
 fn parse_fail_plan(spec: &str) -> Result<Vec<fleet::FailSpec>, String> {
-    let mut plan = Vec::new();
-    for part in spec.split(',') {
-        let (shard, action) = part.split_once(':').ok_or_else(|| {
-            format!("bad --fleet-fail entry '{part}' (want SHARD:COUNT or SHARD:stall=MS)")
-        })?;
-        let shard: usize = shard
-            .parse()
-            .map_err(|e| format!("bad --fleet-fail shard '{shard}': {e}"))?;
-        if let Some(ms) = action.strip_prefix("stall=") {
-            let stall_ms: u64 = ms
-                .parse()
-                .map_err(|e| format!("bad --fleet-fail stall '{ms}': {e}"))?;
-            plan.push(fleet::FailSpec {
-                shard,
-                failures: 0,
-                stall_ms,
-            });
-            continue;
-        }
-        let failures: u32 = if action == "forever" {
-            u32::MAX
-        } else {
-            action
-                .parse()
-                .map_err(|e| format!("bad --fleet-fail count '{action}': {e}"))?
+    let entry = |part: &str| -> Option<fleet::FailSpec> {
+        let (shard, action) = part.split_once(':')?;
+        let (failures, stall_ms) = match action.strip_prefix("stall=") {
+            Some(ms) => (0, ms.parse().ok()?),
+            None if action == "forever" => (u32::MAX, 0),
+            None => (action.parse().ok()?, 0),
         };
-        plan.push(fleet::FailSpec {
+        let shard = shard.parse().ok()?;
+        Some(fleet::FailSpec {
             shard,
             failures,
-            stall_ms: 0,
-        });
-    }
-    Ok(plan)
+            stall_ms,
+        })
+    };
+    spec.split(',')
+        .map(|part| {
+            entry(part).ok_or_else(|| {
+                format!(
+                    "bad --fleet-fail entry '{part}' \
+                     (want SHARD:COUNT, SHARD:forever or SHARD:stall=MS)"
+                )
+            })
+        })
+        .collect()
 }
 
-fn usage() {
-    eprintln!(
-        "usage: repro [--seed N] [--hours H] [--full-week] [--csv DIR] [--progress] \
-         [--metrics-out FILE] [--metrics-format text|json|prom] [--trace-out FILE] \
-         [--series-out DIR] [--series-interval MS] [--profile-out DIR] \
-         [--chaos PROFILE] [--chaos-seed N] \
-         [--fleet N [--fleet-minutes M] [--fleet-state-dir DIR] [--resume] \
-         [--fleet-retries N] [--fleet-fail SHARD:COUNT|SHARD:stall=MS,...]] \
-         [--serve ADDR [--serve-linger S]] \
-         [--speed N|max] [--ingest columnar|per-record] <artifact|all|main|nat>..."
-    );
-    eprintln!("       repro fleet merge OUT_REPORT STATE_FILE...");
-    eprintln!(
-        "       repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR \
-         [--seed S] [--fleet-minutes M] [--fleet-retries N] [--fleet-fail SPEC]"
-    );
-    eprintln!(
-        "       repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-         [--fleet-minutes M] [--workers W] [--fan-in K] [--fleet-retries N] \
-         [--fleet-fail SPEC] [--serve ADDR [--serve-linger S]]"
-    );
-    eprintln!("artifacts: table1..table4, fig1..fig15, ablate-tick, ablate-population,");
-    eprintln!("           ablate-nat-capacity, ablate-nat-buffer, route-cache, source-model,");
-    eprintln!("           web-vs-game");
-    eprintln!("chaos profiles: {}", chaos::names().join(", "));
-}
-
-/// Builds the observe-only side channels for one world run: metric handles
-/// registered against `registry` (when a metrics file was requested), an
-/// event journal (when `--trace-out` or `--serve` is on), a wall-clock
-/// pacer (`--speed`), and a kernel observer driving a [`ProgressReporter`]
-/// (`--progress`), a [`SeriesSampler`] (`--series-out`/`--serve`) and the
-/// live snapshot refresh (`--serve`) — all sharing the one observer slot
-/// and stride.
-///
-/// The reporter and sampler are also returned so the caller can emit the
-/// final summary line / flush the series after the run.
+/// One world run's instruments, plus the progress reporter and series
+/// sampler the caller finishes after the run.
 type RunTelemetry = (
     WorldInstruments,
     Option<Rc<ProgressReporter>>,
     Option<Rc<RefCell<SeriesSampler>>>,
 );
-
-/// Everything one world run's telemetry needs, bundled so each run site
-/// states only what differs (label, horizon, journal).
-struct TelemetrySpec<'a> {
-    label: &'static str,
-    horizon_ns: u64,
-    registry: Option<&'a MetricsRegistry>,
-    progress: bool,
-    journal: Option<Journal>,
-    series_interval_ns: Option<u64>,
-    speed: Speed,
-    serve: Option<Arc<ServeShared>>,
-}
-
-fn instruments_for(spec: TelemetrySpec<'_>) -> RunTelemetry {
-    let TelemetrySpec {
-        label,
-        horizon_ns,
-        registry,
-        progress,
-        journal,
-        series_interval_ns,
-        speed,
-        serve,
-    } = spec;
-    let mut instruments = WorldInstruments::default();
-    if let Some(registry) = registry {
-        instruments.metrics = Some(GameMetrics::register(registry));
-        instruments.link_metrics = Some(LinkMetrics::register(registry));
-    }
-    instruments.journal = journal.clone();
-    let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {
-        let pacer = Pacer::new(speed);
-        let stats = pacer.stats();
-        instruments.pacer = Some(pacer);
-        stats
-    });
-    let reporter = progress.then(|| Rc::new(ProgressReporter::new(label, Some(horizon_ns))));
-    let sampler = match (series_interval_ns, registry) {
-        (Some(interval_ns), Some(registry)) => Some(Rc::new(RefCell::new(SeriesSampler::new(
-            registry.clone(),
-            interval_ns,
-        )))),
-        _ => None,
-    };
-    if reporter.is_some() || sampler.is_some() || serve.is_some() {
-        let reporter_cb = reporter.clone();
-        let sampler_cb = sampler.clone();
-        let registry_cb = registry.cloned();
-        let last_refresh = Cell::new(Instant::now());
-        // The sampler needs to see the sim clock often enough to hit its
-        // interval boundaries; the progress reporter rate-limits itself on
-        // wall time, so the finer stride costs only the callback dispatch.
-        let stride = if sampler.is_some() {
-            OBSERVER_STRIDE / 8
-        } else {
-            OBSERVER_STRIDE
-        };
-        instruments.observer = Some((
-            stride,
-            Box::new(move |sim: &Simulator| {
-                if let Some(reporter) = &reporter_cb {
-                    reporter.maybe_report(
-                        sim.now().as_nanos(),
-                        sim.events_executed(),
-                        sim.pending_events(),
-                    );
-                }
-                if let Some(sampler) = &sampler_cb {
-                    sampler.borrow_mut().observe(sim.now().as_nanos());
-                }
-                // Live snapshot refresh: render the (single-threaded)
-                // registry and sampler here on the sim thread and swap the
-                // strings into the shared state. Wall-rate-limited so a
-                // max-speed run spends its time simulating, not rendering.
-                if let Some(serve) = &serve {
-                    let now = Instant::now();
-                    if now.duration_since(last_refresh.get()) >= SERVE_REFRESH {
-                        last_refresh.set(now);
-                        let sim_ns = sim.now().as_nanos();
-                        let events = sim.events_executed();
-                        let lag_ns = pacer_stats.as_ref().map_or(0, |s| s.lag_ns());
-                        let journal_dropped = journal.as_ref().map_or(0, Journal::dropped);
-                        serve.update_status(|s| {
-                            s.sim_ns = sim_ns;
-                            s.events = events;
-                            s.lag_ns = lag_ns;
-                            s.journal_dropped = journal_dropped;
-                        });
-                        if let Some(registry) = &registry_cb {
-                            serve.export_metrics(registry);
-                            serve.set_metrics(registry.render_prometheus());
-                        }
-                        if let Some(sampler) = &sampler_cb {
-                            serve.set_series(sampler.borrow().to_csv());
-                        }
-                    }
-                }
-            }),
-        ));
-    }
-    (instruments, reporter, sampler)
-}
 
 /// `base` with the run label spliced in before the extension:
 /// `trace.json` + `main` -> `trace.main.json`.
@@ -557,14 +516,12 @@ fn write_journal(journal: &Journal, base: &str, label: &str) {
     } else {
         journal.export_jsonl()
     };
-    match std::fs::write(&path, data) {
-        Ok(()) => eprintln!(
-            "[trace] wrote {path} ({} events, {} dropped)",
-            journal.len(),
-            journal.dropped()
-        ),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let wrote = format!(
+        "[trace] wrote {path} ({} events, {} dropped)",
+        journal.len(),
+        journal.dropped()
+    );
+    write_side_file(None, &path, data, wrote);
 }
 
 /// Flushes one run's series (adding the horizon row) and writes its CSV.
@@ -572,74 +529,18 @@ fn write_series(sampler: &RefCell<SeriesSampler>, dir: &str, label: &str, horizo
     let mut sampler = sampler.borrow_mut();
     sampler.finish(horizon_ns);
     let path = format!("{dir}/{label}.csv");
-    match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, sampler.to_csv())) {
-        Ok(()) => eprintln!("[series] wrote {path} ({} samples)", sampler.len()),
+    let wrote = format!("[series] wrote {path} ({} samples)", sampler.len());
+    write_side_file(Some(dir), &path, sampler.to_csv(), wrote);
+}
+
+/// Writes one side file, creating `dir` first when given, and says so on
+/// stderr with `wrote`. A side file that cannot be written is a warning,
+/// never a failed run.
+fn write_side_file(dir: Option<&str>, path: &str, data: impl AsRef<[u8]>, wrote: String) {
+    let created = dir.map_or(Ok(()), std::fs::create_dir_all);
+    match created.and_then(|()| std::fs::write(path, data)) {
+        Ok(()) => eprintln!("{wrote}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-}
-
-/// Starts wall-time profiling for one world run: a fresh [`Profile`]
-/// (frame trees are per-run), attached to the registry so spans created
-/// for this run frame themselves. Must run before the run's instruments
-/// are built — spans capture the profile at creation time.
-fn start_profile(enabled: bool, registry: Option<&MetricsRegistry>) -> Option<Profile> {
-    if !enabled {
-        return None;
-    }
-    let profile = Profile::new();
-    if let Some(registry) = registry {
-        registry.attach_profile(Some(profile.clone()));
-    }
-    Some(profile)
-}
-
-/// Finishes one run's profile: detaches it from the registry, exports
-/// the `profile.*` wall counters, writes the collapsed-stack and merged
-/// Chrome-trace views (`--profile-out`), and folds the run's snapshot
-/// into the cross-run cumulative behind the ranked table / `/profile`.
-/// Everything here is wall-domain — stderr and side files only, so the
-/// byte-identity of stdout and determinism artifacts is untouched.
-fn finish_profile(
-    profile: &Profile,
-    label: &str,
-    out_dir: Option<&str>,
-    journal: Option<&Journal>,
-    registry: Option<&MetricsRegistry>,
-    total: &mut Option<ProfileSnapshot>,
-) {
-    if let Some(registry) = registry {
-        registry.attach_profile(None);
-        export_profile_metrics(registry, profile);
-    }
-    if let Some(dir) = out_dir {
-        let folded_path = format!("{dir}/{label}.folded");
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|_| std::fs::write(&folded_path, profile.render_folded()));
-        match write {
-            Ok(()) => eprintln!(
-                "[profile] wrote {folded_path} ({} frames, {} enters)",
-                profile.frames(),
-                profile.enters()
-            ),
-            Err(e) => eprintln!("warning: could not write {folded_path}: {e}"),
-        }
-        if let Some(journal) = journal {
-            let trace_path = format!("{dir}/{label}.trace.json");
-            let data = journal.export_chrome_trace_with(&profile.chrome_rows(2));
-            match std::fs::write(&trace_path, data) {
-                Ok(()) => eprintln!("[profile] wrote {trace_path} (journal + profile spans)"),
-                Err(e) => eprintln!("warning: could not write {trace_path}: {e}"),
-            }
-        }
-    }
-    absorb_profile(total, &profile.snapshot());
-}
-
-/// Folds a run's profile snapshot into the cross-run cumulative.
-fn absorb_profile(total: &mut Option<ProfileSnapshot>, snap: &ProfileSnapshot) {
-    match total {
-        Some(total) => total.absorb(snap),
-        None => *total = Some(snap.clone()),
     }
 }
 
@@ -647,56 +548,170 @@ fn absorb_profile(total: &mut Option<ProfileSnapshot>, snap: &ProfileSnapshot) {
 /// `profile.*` instruments with HELP text. Counters accumulate across
 /// runs (each run brings a fresh profile, so per-run totals add).
 fn export_profile_metrics(registry: &MetricsRegistry, profile: &Profile) {
-    let frames = registry.wall_gauge("profile.frames");
-    frames.set(profile.frames() as i64);
+    registry
+        .wall_gauge("profile.frames")
+        .set(profile.frames() as i64);
     registry.describe("profile.frames", "distinct frames in the profile call tree");
-    registry
-        .wall_counter("profile.enters")
-        .add(profile.enters());
-    registry.describe("profile.enters", "profiled span entries (wall domain)");
-    registry
-        .wall_counter("profile.wall_ns")
-        .add(profile.total_wall_ns());
-    registry.describe(
-        "profile.wall_ns",
-        "wall time attributed to root profile frames",
-    );
-    registry
-        .wall_counter("profile.dropped")
-        .add(profile.events_dropped());
-    registry.describe(
-        "profile.dropped",
-        "profile events dropped at the bounded ring capacity",
-    );
+    for (name, value, help) in [
+        (
+            "profile.enters",
+            profile.enters(),
+            "profiled span entries (wall domain)",
+        ),
+        (
+            "profile.wall_ns",
+            profile.total_wall_ns(),
+            "wall time attributed to root profile frames",
+        ),
+        (
+            "profile.dropped",
+            profile.events_dropped(),
+            "profile events dropped at the bounded ring capacity",
+        ),
+    ] {
+        registry.wall_counter(name).add(value);
+        registry.describe(name, help);
+    }
 }
 
-/// End-of-run refresh for the serving plane: final status, a closing
-/// series row (unless `--series-out` already flushed one), fresh
-/// `/metrics` + `/series` snapshots, and the run-finished bus event.
-fn finish_serve_run(
-    shared: &Arc<ServeShared>,
-    registry: &Option<MetricsRegistry>,
-    sampler: &Option<Rc<RefCell<SeriesSampler>>>,
-    finish_series: bool,
-    horizon_ns: u64,
-    events: u64,
-    label: &str,
-) {
+/// One wall-clock phase row for `BENCH_repro.json` (single runs: median
+/// == min).
+fn phase(name: &str, secs: f64, rate_per_sec: Option<f64>) -> BenchResult {
+    BenchResult {
+        name: name.to_string(),
+        median_ns: secs * 1e9,
+        min_ns: secs * 1e9,
+        rate_per_sec,
+    }
+}
+
+/// The serving plane for `--serve ADDR`: shared snapshot state plus the
+/// broadcast bus every run's journal taps into. HTTP threads only ever
+/// read rendered snapshots, so nothing a subscriber does can perturb the
+/// simulation.
+struct Serving {
+    shared: Arc<ServeShared>,
+    handle: ServeHandle,
+}
+
+/// Binds `--serve ADDR` (when given) and announces its endpoints.
+fn bind_serve(addr: Option<&str>) -> Result<Option<Serving>, String> {
+    let Some(addr) = addr else { return Ok(None) };
+    let shared = Arc::new(ServeShared::new(BroadcastBus::new()));
+    let handle = csprov_serve::serve(addr, shared.clone())
+        .map_err(|e| format!("could not bind --serve {addr}: {e}"))?;
+    eprintln!(
+        "[serve] listening on http://{} (/metrics /events /series /status /report \
+         /healthz /shards /profile)",
+        handle.addr()
+    );
+    Ok(Some(Serving { shared, handle }))
+}
+
+impl Serving {
+    /// Winds the serving plane down: the terminal status, an optional
+    /// linger window for late scrapers, then a clean shutdown that closes
+    /// the bus so SSE streams end instead of hanging.
+    fn close(mut self, linger_secs: u64) {
+        self.shared.update_status(|s| s.state = "finished");
+        if linger_secs > 0 {
+            eprintln!("[serve] lingering {linger_secs} s before shutdown");
+            std::thread::sleep(Duration::from_secs(linger_secs));
+        }
+        self.handle.shutdown();
+    }
+}
+
+/// The health watchdog deadline behind `/shards`. It is wall-domain and
+/// tunable because "stalled" is a property of the host, not the
+/// simulation.
+fn watchdog_ms() -> u64 {
+    std::env::var("CSPROV_WATCHDOG_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&ms| ms > 0)
+        .unwrap_or(3000)
+}
+
+/// The provisioning report as every fleet path prints, serves and writes
+/// it.
+fn fleet_block(report: &ProvisioningReport) -> String {
+    format!(
+        "================ fleet ================\n{}\n{}\n",
+        report.render().render(),
+        report.sizing_line()
+    )
+}
+
+fn fleet_horizon_ns(config: &FleetConfig) -> u64 {
+    SimDuration::from_mins(config.minutes).as_nanos()
+}
+
+/// Narrates the fleet engine's execution-plane events on stderr under
+/// `prefix`: `[fleet]` for the in-process run, `[worker]` for a `fleet
+/// work` child. The canonical merge happens inside the engine, so none of
+/// this affects the answer.
+fn narrate_fleet(prefix: &str, ev: &FleetEvent<'_>) {
+    match ev {
+        FleetEvent::ShardDone {
+            state,
+            from_checkpoint: false,
+            ..
+        } => eprintln!("{prefix} shard {} done", state.shard),
+        FleetEvent::ShardDone { .. } | FleetEvent::CheckpointWritten { .. } => {}
+        FleetEvent::ShardRetry {
+            shard,
+            attempt,
+            backoff_ns,
+            message,
+        } => eprintln!(
+            "{prefix} shard {shard} attempt {attempt} failed ({message}); \
+             retrying after {} ms simulated backoff",
+            backoff_ns / 1_000_000
+        ),
+        FleetEvent::ShardLost {
+            shard,
+            attempts,
+            message,
+        } => eprintln!(
+            "{prefix} shard {shard} LOST after {attempts} attempts ({message}); \
+             report degrades to a lower bound"
+        ),
+        FleetEvent::CheckpointFailed { shard, message } => {
+            eprintln!("{prefix} shard {shard} checkpoint write failed: {message}")
+        }
+        FleetEvent::ResumeLoaded { shard } => {
+            eprintln!("{prefix} shard {shard} restored from checkpoint")
+        }
+        FleetEvent::ResumeInvalid { message } => {
+            eprintln!("{prefix} ignoring invalid checkpoint: {message}")
+        }
+    }
+}
+
+/// Serving status and `RunStarted` for a run about to start; `shards` is
+/// the fleet size, 0 for a world run.
+fn serve_run_started(shared: &ServeShared, label: &str, horizon_ns: u64, shards: usize) {
+    shared.update_status(|s| {
+        s.state = "running";
+        s.horizon_ns = horizon_ns;
+        s.sim_ns = 0;
+        s.shards_total = shards as u64;
+        s.shards_done = 0;
+    });
+    shared.bus().publish(BusEvent::RunStarted {
+        label: label.into(),
+        horizon_ns,
+    });
+}
+
+/// Final serving status and `RunFinished` for a run that executed
+/// `events` (packets, for a fleet).
+fn serve_run_finished(shared: &ServeShared, label: &str, horizon_ns: u64, events: u64) {
     shared.update_status(|s| {
         s.sim_ns = horizon_ns;
         s.events = events;
-        s.lag_ns = 0;
     });
-    if let Some(sampler) = sampler {
-        if finish_series {
-            sampler.borrow_mut().finish(horizon_ns);
-        }
-        shared.set_series(sampler.borrow().to_csv());
-    }
-    if let Some(registry) = registry {
-        shared.export_metrics(registry);
-        shared.set_metrics(registry.render_prometheus());
-    }
     shared.bus().publish(BusEvent::RunFinished {
         label: label.into(),
         sim_ns: horizon_ns,
@@ -704,561 +719,55 @@ fn finish_serve_run(
     });
 }
 
-fn write_csv(dir: &str, name: &str, headers: &[&str], cols: &[&[f64]]) {
-    let path = format!("{dir}/{name}.csv");
-    if let Err(e) =
-        std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, to_csv(headers, cols)))
-    {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("[csv] wrote {path}");
+/// Live serving update for one more finished shard — done in-process
+/// (`--fleet`) or collected from a worker's checkpoint (`fleet
+/// coordinate`): progress status, a bus trace event, and an interim report
+/// over every shard finished so far.
+fn serve_shard_done(
+    shared: &ServeShared,
+    config: &FleetConfig,
+    done: &Mutex<Vec<ShardState>>,
+    state: &ShardState,
+) {
+    let mut done = done.lock().unwrap_or_else(|e| e.into_inner());
+    done.push(state.clone());
+    let n = done.len() as u64;
+    let sim_ns = fleet_horizon_ns(config) * n / config.servers as u64;
+    shared.update_status(|s| {
+        s.shards_done = n;
+        s.sim_ns = sim_ns;
+    });
+    shared.bus().publish(BusEvent::Trace(TraceEvent {
+        sim_ns,
+        kind: "fleet.shard.done",
+        key: state.shard as u64,
+        value: n,
+    }));
+    if let Ok(report) = fleet::interim_report(config, &done) {
+        shared.set_report(format!(
+            "================ fleet (interim, {n}/{} shards) ================\n{}\n{}\n",
+            config.servers,
+            report.render().render(),
+            report.sizing_line()
+        ));
     }
 }
 
-/// `repro fleet merge OUT_REPORT STATE_FILE...` — the multi-process
-/// provisioning path: folds shard checkpoint files (written by
-/// independent `--fleet-state-dir` runs or machines) through the same
-/// typed merge layer the in-process fleet uses, and writes the rendered
-/// provisioning report. Files stream through one accumulator in shard
-/// order, so merging 10k+ states never holds more than one decoded
-/// state at a time.
-fn fleet_merge_command(args: &[String]) -> ExitCode {
-    if args.len() < 2 {
-        eprintln!("usage: repro fleet merge OUT_REPORT STATE_FILE...");
-        return ExitCode::FAILURE;
-    }
-    let out = &args[0];
-    let paths: Vec<std::path::PathBuf> = args[1..].iter().map(std::path::PathBuf::from).collect();
-    // The report header's run length comes from the first shard's recorded
-    // duration (every shard of one fleet runs the same horizon).
-    let minutes = match std::fs::read(&paths[0]) {
-        Ok(bytes) => match fleet::persist::decode_shard_state(&bytes) {
-            Ok(state) => (state.duration.as_secs() / 60).max(1),
-            Err(e) => {
-                eprintln!("error: {}: {e}", paths[0].display());
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {}: {e}", paths[0].display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let (facility, shards) = match fleet::persist::merge_state_files(&paths) {
-        Ok(merged) => merged,
-        Err(e) => {
-            eprintln!("error: fleet merge failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = FleetConfig::new("fleet", 0, facility.shards, minutes);
-    let coverage = fleet::FleetCoverage::full(facility.shards);
-    let report = match fleet::ProvisioningReport::build(&config, &facility, &shards, coverage) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: fleet merge report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = format!(
-        "================ fleet ================\n{}\n{}\n",
-        report.render().render(),
-        report.sizing_line()
-    );
-    if let Err(e) = std::fs::write(out, &text) {
-        eprintln!("error: could not write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+/// Serving report, final status and `RunFinished` for a finished fleet.
+fn serve_fleet_finished(shared: &ServeShared, config: &FleetConfig, run: &FleetRun) {
+    shared.set_report(fleet_block(&run.report));
+    shared.update_status(|s| s.shards_done = run.facility.shards as u64);
+    let packets = run.facility.counts.total_packets();
+    serve_run_finished(shared, "fleet", fleet_horizon_ns(config), packets);
+}
+
+/// The closing stderr lines of a fleet run: its size and wall time, and
+/// the coverage warning when shards were lost.
+fn narrate_fleet_done(prefix: &str, run: &FleetRun, secs: f64) {
     eprintln!(
-        "[merge] folded {} state files into {out} ({} packets)",
-        paths.len(),
-        facility.counts.total_packets()
-    );
-    print!("{text}");
-    ExitCode::SUCCESS
-}
-
-/// Flags shared by `repro fleet work` and `repro fleet coordinate`.
-/// Both subcommands describe the *same* fleet (`--seed`, `--fleet`,
-/// `--fleet-minutes`, `--fleet-retries`, `--fleet-fail`) so shard seeds
-/// derive identically no matter which process runs a shard; the rest is
-/// role-specific (an assigned `--shards` range for a worker, worker and
-/// merge-tree counts plus an optional serving plane for the coordinator).
-struct CoordCli {
-    seed: u64,
-    servers: Option<usize>,
-    minutes: u64,
-    state_dir: Option<String>,
-    retries: Option<u32>,
-    fail_spec: Option<String>,
-    shards: Option<fleet::coord::ShardRange>,
-    workers: usize,
-    fan_in: usize,
-    serve: Option<String>,
-    serve_linger_secs: u64,
-}
-
-fn parse_coord_cli(args: &[String]) -> Result<CoordCli, String> {
-    let mut o = CoordCli {
-        seed: 2002,
-        servers: None,
-        minutes: 30,
-        state_dir: None,
-        retries: None,
-        fail_spec: None,
-        shards: None,
-        workers: 2,
-        fan_in: 16,
-        serve: None,
-        serve_linger_secs: 0,
-    };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                o.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--fleet" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fleet needs a server count")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet size: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet must be > 0".into());
-                }
-                o.servers = Some(n);
-            }
-            "--fleet-minutes" => {
-                o.minutes = args
-                    .next()
-                    .ok_or("--fleet-minutes needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet minutes: {e}"))?;
-                if o.minutes == 0 {
-                    return Err("--fleet-minutes must be > 0".into());
-                }
-            }
-            "--fleet-state-dir" => {
-                o.state_dir = Some(
-                    args.next()
-                        .ok_or("--fleet-state-dir needs a directory")?
-                        .clone(),
-                );
-            }
-            "--fleet-retries" => {
-                let n: u32 = args
-                    .next()
-                    .ok_or("--fleet-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fleet retries: {e}"))?;
-                if n == 0 {
-                    return Err("--fleet-retries must be > 0".into());
-                }
-                o.retries = Some(n);
-            }
-            "--fleet-fail" => {
-                let spec = args.next().ok_or("--fleet-fail needs SHARD:COUNT,...")?;
-                parse_fail_plan(spec)?;
-                o.fail_spec = Some(spec.clone());
-            }
-            "--shards" => {
-                let spec = args.next().ok_or("--shards needs LO:HI")?;
-                o.shards = Some(
-                    fleet::coord::ShardRange::parse(spec)
-                        .ok_or_else(|| format!("bad --shards '{spec}' (want LO:HI, HI > LO)"))?,
-                );
-            }
-            "--workers" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--workers needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be > 0".into());
-                }
-                o.workers = n;
-            }
-            "--fan-in" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--fan-in needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fan-in: {e}"))?;
-                if n < 2 {
-                    return Err("--fan-in must be >= 2".into());
-                }
-                o.fan_in = n;
-            }
-            "--serve" => o.serve = Some(args.next().ok_or("--serve needs HOST:PORT")?.clone()),
-            "--serve-linger" => {
-                o.serve_linger_secs = args
-                    .next()
-                    .ok_or("--serve-linger needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("bad linger: {e}"))?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if o.servers.is_none() {
-        return Err("--fleet N is required".into());
-    }
-    if o.state_dir.is_none() {
-        return Err("--fleet-state-dir DIR is required".into());
-    }
-    Ok(o)
-}
-
-/// Builds the fleet config both subcommands agree on. Shard traffic is a
-/// pure function of (seed, shard index), so a worker and the coordinator
-/// constructing this independently stay byte-compatible.
-fn coord_fleet_config(o: &CoordCli) -> Result<FleetConfig, String> {
-    let mut config = FleetConfig::new("fleet", o.seed, o.servers.unwrap(), o.minutes);
-    if let Some(attempts) = o.retries {
-        config.retry.attempts = attempts;
-    }
-    if let Some(spec) = &o.fail_spec {
-        config.fail_plan = parse_fail_plan(spec)?;
-    }
-    Ok(config)
-}
-
-/// `repro fleet work --shards LO:HI ...` — the worker half of the
-/// coordinator/worker protocol: executes one assigned shard range against
-/// the shared state directory, writing checkpoints and heartbeat sidecars
-/// the coordinator watches. Narrates to stderr only (stdout belongs to
-/// the coordinator's report). Exits 0 even when shards were lost after
-/// exhausting retries — loss is coverage accounting, not a worker crash.
-fn fleet_work_command(args: &[String]) -> ExitCode {
-    let opts = match parse_coord_cli(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: repro fleet work --shards LO:HI --fleet N --fleet-state-dir DIR \
-                 [--seed S] [--fleet-minutes M] [--fleet-retries N] [--fleet-fail SPEC]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(range) = opts.shards else {
-        eprintln!("error: fleet work requires --shards LO:HI");
-        return ExitCode::FAILURE;
-    };
-    let config = match coord_fleet_config(&opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let state_dir = std::path::PathBuf::from(opts.state_dir.as_deref().unwrap());
-    eprintln!(
-        "[worker] shards {range} of a {}-shard fleet (seed {}, state dir {})",
-        config.servers,
-        config.seed,
-        state_dir.display()
-    );
-    let t0 = Instant::now();
-    let on_event = |ev: &fleet::FleetEvent<'_>| match ev {
-        fleet::FleetEvent::ShardDone {
-            state,
-            from_checkpoint,
-            ..
-        } => {
-            if !from_checkpoint {
-                eprintln!("[worker] shard {} done", state.shard);
-            }
-        }
-        fleet::FleetEvent::ShardRetry {
-            shard,
-            attempt,
-            backoff_ns,
-            message,
-        } => {
-            eprintln!(
-                "[worker] shard {shard} attempt {attempt} failed ({message}); \
-                 retrying after {} ms simulated backoff",
-                backoff_ns / 1_000_000
-            );
-        }
-        fleet::FleetEvent::ShardLost {
-            shard,
-            attempts,
-            message,
-        } => {
-            eprintln!("[worker] shard {shard} LOST after {attempts} attempts ({message})");
-        }
-        fleet::FleetEvent::CheckpointWritten { .. } => {}
-        fleet::FleetEvent::CheckpointFailed { shard, message } => {
-            eprintln!("[worker] shard {shard} checkpoint write failed: {message}");
-        }
-        fleet::FleetEvent::ResumeLoaded { shard } => {
-            eprintln!("[worker] shard {shard} restored from checkpoint");
-        }
-        fleet::FleetEvent::ResumeInvalid { message } => {
-            eprintln!("[worker] ignoring invalid checkpoint: {message}");
-        }
-    };
-    match fleet::coord::run_worker_range(&config, range, &state_dir, Some(&on_event)) {
-        Ok(summary) => {
-            eprintln!(
-                "[worker] range {range} finished in {:.1} s wall: {} done, {} resumed, \
-                 {} lost, {} retries",
-                t0.elapsed().as_secs_f64(),
-                summary.done.len(),
-                summary.resumed.len(),
-                summary.lost.len(),
-                summary.retries
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: fleet work failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// A spawned `repro fleet work` child as a pollable coordinator handle.
-struct ProcessWorker {
-    child: std::process::Child,
-}
-
-impl fleet::coord::WorkerHandle for ProcessWorker {
-    fn try_status(&mut self) -> Option<Result<(), String>> {
-        match self.child.try_wait() {
-            Ok(None) => None,
-            Ok(Some(status)) if status.success() => Some(Ok(())),
-            Ok(Some(status)) => Some(Err(status.to_string())),
-            Err(e) => Some(Err(e.to_string())),
-        }
-    }
-}
-
-/// `repro fleet coordinate ...` — plans shard ranges, spawns `repro fleet
-/// work` children against the shared state directory, watches their
-/// heartbeat sidecars and exits, re-dispatches ranges of killed workers,
-/// folds the collected checkpoints through the hierarchical merge tree,
-/// and prints the same byte-identical report as an in-process `--fleet`
-/// run. With `--serve`, `/shards` and `/report` watch a fleet this
-/// process never executes — the board is fed purely from sidecars.
-fn fleet_coordinate_command(args: &[String]) -> ExitCode {
-    let opts = match parse_coord_cli(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: repro fleet coordinate --fleet N --fleet-state-dir DIR [--seed S] \
-                 [--fleet-minutes M] [--workers W] [--fan-in K] [--fleet-retries N] \
-                 [--fleet-fail SPEC] [--serve HOST:PORT [--serve-linger S]]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.shards.is_some() {
-        eprintln!("error: --shards belongs to fleet work (the coordinator plans ranges)");
-        return ExitCode::FAILURE;
-    }
-    let mut config = match coord_fleet_config(&opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let servers = config.servers;
-    let state_dir = std::path::PathBuf::from(opts.state_dir.as_deref().unwrap());
-    let watchdog_ms: u64 = std::env::var("CSPROV_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(3000);
-    let board = Arc::new(ShardHealthBoard::new(
-        servers,
-        Duration::from_millis(watchdog_ms),
-    ));
-    config.health = Some(board.clone());
-    let fleet_horizon = SimDuration::from_mins(opts.minutes).as_nanos();
-
-    // The optional serving plane: this process executes nothing, so every
-    // document it serves is assembled from observation — `/shards` from
-    // sidecar records aged by mtime, `/report` from checkpoints collected
-    // so far.
-    let serve_state = opts
-        .serve
-        .as_ref()
-        .map(|_| Arc::new(ServeShared::new(BroadcastBus::new())));
-    let mut serve_handle = None;
-    if let (Some(addr), Some(shared)) = (&opts.serve, &serve_state) {
-        match csprov_serve::serve(addr.as_str(), shared.clone()) {
-            Ok(handle) => {
-                eprintln!(
-                    "[serve] listening on http://{} (/metrics /events /series /status /report \
-                     /healthz /shards /profile)",
-                    handle.addr()
-                );
-                serve_handle = Some(handle);
-            }
-            Err(e) => {
-                eprintln!("error: could not bind --serve {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        shared.set_board(board.clone());
-        shared.update_status(|s| {
-            s.state = "running";
-            s.mode = "coordinate";
-            s.label = "fleet".to_string();
-            s.seed = opts.seed;
-            s.horizon_ns = fleet_horizon;
-            s.shards_total = servers as u64;
-        });
-        shared.bus().publish(BusEvent::RunStarted {
-            label: "fleet".into(),
-            horizon_ns: fleet_horizon,
-        });
-    }
-
-    eprintln!(
-        "[coord] fleet: {servers} servers x {} simulated min (seed {}), {} workers, \
-         fan-in {}, state dir {}",
-        opts.minutes,
-        opts.seed,
-        opts.workers,
-        opts.fan_in,
-        state_dir.display()
-    );
-    let t0 = Instant::now();
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot locate own executable to spawn workers: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let launch = |worker: usize, range: fleet::coord::ShardRange| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("fleet")
-            .arg("work")
-            .arg("--shards")
-            .arg(range.to_string())
-            .arg("--seed")
-            .arg(opts.seed.to_string())
-            .arg("--fleet")
-            .arg(servers.to_string())
-            .arg("--fleet-minutes")
-            .arg(opts.minutes.to_string())
-            .arg("--fleet-state-dir")
-            .arg(&state_dir);
-        if let Some(attempts) = opts.retries {
-            cmd.arg("--fleet-retries").arg(attempts.to_string());
-        }
-        if let Some(spec) = &opts.fail_spec {
-            cmd.arg("--fleet-fail").arg(spec);
-        }
-        // Worker stdout is the coordinator's: only the coordinator may
-        // print to it (the report must stay byte-identical to --fleet).
-        cmd.stdout(std::process::Stdio::null());
-        cmd.spawn()
-            .map(|child| ProcessWorker { child })
-            .map_err(|e| format!("spawn worker {worker}: {e}"))
-    };
-    let partial: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
-    let on_event = |ev: &fleet::coord::CoordEvent<'_>| match ev {
-        fleet::coord::CoordEvent::WorkerLaunched {
-            worker,
-            range,
-            attempt,
-        } => {
-            eprintln!("[coord] worker {worker} launched for shards {range} (attempt {attempt})");
-        }
-        fleet::coord::CoordEvent::WorkerExited {
-            worker,
-            range,
-            clean,
-            detail,
-        } => {
-            if *clean {
-                eprintln!("[coord] worker {worker} finished shards {range}");
-            } else {
-                eprintln!("[coord] worker {worker} died on shards {range} ({detail})");
-            }
-        }
-        fleet::coord::CoordEvent::RangeRedispatched {
-            worker,
-            range,
-            attempt,
-        } => {
-            eprintln!(
-                "[coord] re-dispatching shards {range} of worker {worker} (attempt {attempt})"
-            );
-        }
-        fleet::coord::CoordEvent::RangeLost {
-            worker,
-            range,
-            shards,
-            message,
-        } => {
-            eprintln!(
-                "[coord] shards {shards:?} of worker {worker} (range {range}) LOST ({message}); \
-                 report degrades to a lower bound"
-            );
-        }
-        fleet::coord::CoordEvent::ShardCollected { shard, state } => {
-            eprintln!("[coord] shard {shard} collected");
-            let Some(shared) = &serve_state else { return };
-            let mut done = partial.lock().unwrap_or_else(|e| e.into_inner());
-            done.push((*state).clone());
-            let n = done.len() as u64;
-            shared.update_status(|s| {
-                s.shards_done = n;
-                s.sim_ns = fleet_horizon * n / servers as u64;
-            });
-            shared.bus().publish(BusEvent::Trace(TraceEvent {
-                sim_ns: fleet_horizon * n / servers as u64,
-                kind: "fleet.shard.done",
-                key: *shard as u64,
-                value: n,
-            }));
-            if let Ok(report) = fleet::interim_report(&config, &done) {
-                shared.set_report(format!(
-                    "================ fleet (interim, {n}/{servers} shards) ================\n{}\n{}\n",
-                    report.render().render(),
-                    report.sizing_line()
-                ));
-            }
-        }
-    };
-    let coord_opts = fleet::coord::CoordOptions {
-        workers: opts.workers,
-        fan_in: opts.fan_in,
-        ..fleet::coord::CoordOptions::default()
-    };
-    let result =
-        fleet::coord::coordinate(&config, &state_dir, &coord_opts, launch, Some(&on_event));
-    let run = match result {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("error: fleet coordinate failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let secs = t0.elapsed().as_secs_f64();
-    println!("\n================ fleet ================");
-    println!("{}", run.report.render().render());
-    println!("{}", run.report.sizing_line());
-    eprintln!(
-        "[coord] fleet done: {} packets across {} shards in {:.1} s wall",
+        "{prefix} fleet done: {} packets across {} shards in {secs:.1} s wall",
         run.facility.counts.total_packets(),
         run.facility.shards,
-        secs
     );
     let cov = &run.report.coverage;
     if cov.is_degraded() {
@@ -1268,574 +777,305 @@ fn fleet_coordinate_command(args: &[String]) -> ExitCode {
             cov.merged, cov.configured, cov.lost
         );
     }
-    if let Some(shared) = &serve_state {
-        shared.set_report(format!(
-            "================ fleet ================\n{}\n{}\n",
-            run.report.render().render(),
-            run.report.sizing_line()
-        ));
-        shared.update_status(|s| {
-            s.state = "finished";
-            s.sim_ns = fleet_horizon;
-            s.shards_done = run.facility.shards as u64;
-            s.events = run.facility.counts.total_packets();
-        });
-        shared.bus().publish(BusEvent::RunFinished {
-            label: "fleet".into(),
-            sim_ns: fleet_horizon,
-            events: run.facility.counts.total_packets(),
-        });
-        if opts.serve_linger_secs > 0 {
-            eprintln!(
-                "[serve] lingering {} s before shutdown",
-                opts.serve_linger_secs
-            );
-            std::thread::sleep(Duration::from_secs(opts.serve_linger_secs));
-        }
-    }
-    if let Some(mut handle) = serve_handle.take() {
-        handle.shutdown();
-    }
-    ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        if argv.len() >= 2 && argv[0] == "fleet" {
-            match argv[1].as_str() {
-                "merge" => return fleet_merge_command(&argv[2..]),
-                "work" => return fleet_work_command(&argv[2..]),
-                "coordinate" => return fleet_coordinate_command(&argv[2..]),
-                _ => {}
-            }
-        }
-    }
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}");
-            }
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+/// The state one main run shares across its world runs and its fleet: the
+/// registry and serving plane they report into, and what accumulates.
+struct Session<'a> {
+    plan: &'a Plan,
+    /// Backs the snapshot dump (`--metrics-out`), the sim-time series
+    /// (`--series-out`), the live /metrics + /series endpoints, and
+    /// span->profile framing (`--profile-out` needs spans to attribute
+    /// tick/flush time, so it implies a registry).
+    registry: Option<MetricsRegistry>,
+    serve: Option<Arc<ServeShared>>,
+    profile_total: Option<ProfileSnapshot>,
+    /// Wall-clock phases, reported at exit in the same `[time]` format the
+    /// per-artifact lines use and exported as `BENCH_repro.json` when
+    /// `CSPROV_BENCH_OUT` is set.
+    timings: Vec<BenchResult>,
+    chaos_reports: Vec<ChaosReport>,
+}
 
-    // Analyzer construction reads the env var, so pinning it here covers
-    // every run this invocation performs (main, NAT, ablations, fleet).
-    // The CI ingest-smoke step diffs a columnar run against a per-record
-    // run through this flag; artifacts must come out byte-identical.
-    match opts.ingest {
-        Some(IngestPath::Columnar) => std::env::set_var(csprov::INGEST_PATH_ENV, "columnar"),
-        Some(IngestPath::PerRecord) => std::env::set_var(csprov::INGEST_PATH_ENV, "per-record"),
-        None => {}
-    }
-
-    let duration = if opts.full_week {
-        SimDuration::from_secs(PAPER_TRACE_SECS)
-    } else {
-        SimDuration::from_secs_f64(opts.hours * 3600.0)
-    };
-
-    let needs_main = opts.artifacts.iter().any(|a| a.needs_main_run());
-    let needs_nat = opts.artifacts.iter().any(|a| a.needs_nat_run());
-
-    // The registry backs the snapshot dump (--metrics-out), the sim-time
-    // series (--series-out), the live /metrics + /series endpoints, and
-    // span->profile framing (--profile-out needs spans to attribute
-    // tick/flush time, so it implies a registry).
-    let registry = (opts.metrics_out.is_some()
-        || opts.series_out.is_some()
-        || opts.serve.is_some()
-        || opts.profile_out.is_some())
-    .then(MetricsRegistry::new);
-    // Profiling is on for --profile-out (files + table) and for --serve
-    // (the /profile endpoint); both are wall-domain-only consumers.
-    let profile_enabled = opts.profile_out.is_some() || opts.serve.is_some();
-    let mut profile_total: Option<ProfileSnapshot> = None;
-    let series_interval_ns = (opts.series_out.is_some() || opts.serve.is_some())
-        .then(|| opts.series_interval_ms * 1_000_000);
-
-    // The live serving plane: shared snapshot state plus the broadcast bus
-    // every run's journal taps into. HTTP threads only ever read rendered
-    // snapshots, so nothing a subscriber does can perturb the simulation.
-    let serve_state = opts
-        .serve
-        .as_ref()
-        .map(|_| Arc::new(ServeShared::new(BroadcastBus::new())));
-    let mut serve_handle = None;
-    if let (Some(addr), Some(shared)) = (&opts.serve, &serve_state) {
-        match csprov_serve::serve(addr.as_str(), shared.clone()) {
-            Ok(handle) => {
-                eprintln!(
-                    "[serve] listening on http://{} (/metrics /events /series /status /report \
-                     /healthz /shards /profile)",
-                    handle.addr()
-                );
-                serve_handle = Some(handle);
-            }
-            Err(e) => {
-                eprintln!("error: could not bind --serve {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
-        if opts.fleet.is_some() {
-            labels.push("fleet".to_string());
-        }
-        shared.update_status(|s| {
-            s.seed = opts.seed;
-            s.speed = opts.speed.to_string();
-            s.label = labels.join(",");
-        });
-    }
-
-    // Wall-clock phases, reported at exit in the same `[time]` format the
-    // per-artifact lines use and exported as BENCH_repro.json when
-    // CSPROV_BENCH_OUT is set (single runs: median == min).
-    let total_t0 = Instant::now();
-    let mut timings: Vec<BenchResult> = Vec::new();
-    fn phase(name: &str, secs: f64, rate_per_sec: Option<f64>) -> BenchResult {
-        BenchResult {
-            name: name.to_string(),
-            median_ns: secs * 1e9,
-            min_ns: secs * 1e9,
-            rate_per_sec,
-        }
-    }
-
-    let chaos_seed = opts.chaos_seed.unwrap_or(opts.seed);
-    let mut chaos_reports: Vec<ChaosReport> = Vec::new();
-
-    let main_run = needs_main.then(|| {
-        eprintln!(
-            "[run] simulating {:.1} h of server traffic (seed {})...",
-            duration.as_secs_f64() / 3600.0,
-            opts.seed
-        );
+impl Session<'_> {
+    /// Runs one world with every requested side channel attached, then
+    /// finishes and writes them: journal (with the bus tap), profile,
+    /// series, progress, serving status, and the timing row. `plain` runs
+    /// the world with the instruments and registry; `chaotic` runs it
+    /// under the `--chaos` campaign and seed instead. `events` reads the
+    /// run's executed-event count. Also returns the wall seconds the whole
+    /// run took.
+    fn world<R>(
+        &mut self,
+        label: &'static str,
+        horizon_ns: u64,
+        events: fn(&R) -> u64,
+        plain: impl FnOnce(WorldInstruments, Option<&MetricsRegistry>) -> R,
+        chaotic: impl FnOnce(
+            &ChaosSpec,
+            u64,
+            WorldInstruments,
+            Option<&MetricsRegistry>,
+        ) -> (R, ChaosReport),
+    ) -> (R, f64) {
+        let plan = self.plan;
         let t0 = Instant::now();
-        let journal = (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-        if let (Some(journal), Some(shared)) = (&journal, &serve_state) {
-            journal.set_tap(shared.bus().clone());
+        let journal = self.journal();
+        // A fresh profile per run (frame trees are per-run), attached to the
+        // registry before the instruments are built: spans capture the
+        // profile at creation time.
+        let profile = plan.profile_enabled().then(Profile::new);
+        if let (Some(profile), Some(registry)) = (&profile, &self.registry) {
+            registry.attach_profile(Some(profile.clone()));
         }
-        let profile = start_profile(profile_enabled, registry.as_ref());
-        let (mut instruments, reporter, sampler) = instruments_for(TelemetrySpec {
-            label: "main",
-            horizon_ns: duration.as_nanos(),
-            registry: registry.as_ref(),
-            progress: opts.progress,
-            journal: journal.clone(),
-            series_interval_ns,
-            speed: opts.speed,
-            serve: serve_state.clone(),
-        });
+        let (mut instruments, reporter, sampler) =
+            self.instruments_for(label, horizon_ns, journal.clone());
         instruments.profile = profile.clone();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = duration.as_nanos();
-                s.sim_ns = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "main".into(),
-                horizon_ns: duration.as_nanos(),
-            });
+        if let Some(shared) = &self.serve {
+            serve_run_started(shared, label, horizon_ns, 0);
         }
-        let scenario = ScenarioConfig::scaled(opts.seed, duration);
-        let run = match &opts.chaos {
+        let registry = self.registry.as_ref();
+        let result = match &plan.chaos {
             Some(spec) => {
-                eprintln!(
-                    "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                    spec.name
-                );
-                let (run, report) = chaos::run_chaos_main(
-                    spec,
-                    scenario,
-                    chaos_seed,
-                    instruments,
-                    registry.as_ref(),
-                );
-                chaos_reports.push(report);
-                run
+                let seed = plan.chaos_seed.unwrap_or(plan.seed);
+                eprintln!("[run] chaos profile '{}' (chaos-seed {seed})", spec.name);
+                let (result, report) = chaotic(spec, seed, instruments, registry);
+                self.chaos_reports.push(report);
+                result
             }
-            None => MainRun::execute_instrumented(scenario, instruments, registry.as_ref()),
+            None => plain(instruments, registry),
         };
+        let events = events(&result);
         if let Some(reporter) = reporter {
-            reporter.finish(duration.as_nanos(), run.outcome.events_executed);
+            reporter.finish(horizon_ns, events);
         }
-        if let (Some(journal), Some(base)) = (&journal, &opts.trace_out) {
-            write_journal(journal, base, "main");
+        if let (Some(journal), Some(base)) = (&journal, &plan.trace_out) {
+            write_journal(journal, base, label);
         }
-        if let (Some(sampler), Some(dir)) = (&sampler, &opts.series_out) {
-            write_series(sampler, dir, "main", duration.as_nanos());
+        if let (Some(sampler), Some(dir)) = (&sampler, &plan.series_out) {
+            write_series(sampler, dir, label, horizon_ns);
         }
         if let Some(profile) = &profile {
-            finish_profile(
-                profile,
-                "main",
-                opts.profile_out.as_deref(),
-                journal.as_ref(),
-                registry.as_ref(),
-                &mut profile_total,
-            );
-            if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                shared.set_profile(total.render_table());
-            }
+            self.finish_profile(profile, label, journal.as_ref());
+            self.absorb_profile(&profile.snapshot());
         }
-        if let Some(shared) = &serve_state {
-            finish_serve_run(
-                shared,
-                &registry,
-                &sampler,
-                opts.series_out.is_none(),
-                duration.as_nanos(),
-                run.outcome.events_executed,
-                "main",
-            );
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "[run] done: {} packets in {:.1} s wall ({} events)",
-            run.analysis.counts.total_packets(),
-            secs,
-            run.outcome.events_executed
-        );
-        timings.push(phase(
-            "main_run",
-            secs,
-            Some(run.outcome.events_executed as f64 / secs.max(1e-9)),
-        ));
-        run
-    });
-    let nat_run = needs_nat.then(|| {
-        eprintln!("[run] NAT experiment: one 30-minute map through the device...");
-        let t0 = Instant::now();
-        let nat_horizon = SimDuration::from_mins(30).as_nanos();
-        let journal = (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-        if let (Some(journal), Some(shared)) = (&journal, &serve_state) {
-            journal.set_tap(shared.bus().clone());
-        }
-        let profile = start_profile(profile_enabled, registry.as_ref());
-        let (mut instruments, reporter, sampler) = instruments_for(TelemetrySpec {
-            label: "nat",
-            horizon_ns: nat_horizon,
-            registry: registry.as_ref(),
-            progress: opts.progress,
-            journal: journal.clone(),
-            series_interval_ns,
-            speed: opts.speed,
-            serve: serve_state.clone(),
-        });
-        instruments.profile = profile.clone();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = nat_horizon;
-                s.sim_ns = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "nat".into(),
-                horizon_ns: nat_horizon,
-            });
-        }
-        let run = match &opts.chaos {
-            Some(spec) => {
-                eprintln!(
-                    "[run] chaos profile '{}' (chaos-seed {chaos_seed})",
-                    spec.name
-                );
-                let (run, report) = nat::run_nat_experiment_chaos(
-                    opts.seed,
-                    EngineConfig::default(),
-                    spec,
-                    chaos_seed,
-                    instruments,
-                    registry.as_ref(),
-                );
-                chaos_reports.push(report);
-                run
-            }
-            None => nat::run_nat_experiment_instrumented(
-                opts.seed,
-                EngineConfig::default(),
-                instruments,
-                registry.as_ref(),
-            ),
-        };
-        if let Some(reporter) = reporter {
-            reporter.finish(nat_horizon, run.outcome.events_executed);
-        }
-        if let (Some(journal), Some(base)) = (&journal, &opts.trace_out) {
-            write_journal(journal, base, "nat");
-        }
-        if let (Some(sampler), Some(dir)) = (&sampler, &opts.series_out) {
-            write_series(sampler, dir, "nat", nat_horizon);
-        }
-        if let Some(profile) = &profile {
-            finish_profile(
-                profile,
-                "nat",
-                opts.profile_out.as_deref(),
-                journal.as_ref(),
-                registry.as_ref(),
-                &mut profile_total,
-            );
-            if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                shared.set_profile(total.render_table());
-            }
-        }
-        if let Some(shared) = &serve_state {
-            finish_serve_run(
-                shared,
-                &registry,
-                &sampler,
-                opts.series_out.is_none(),
-                nat_horizon,
-                run.outcome.events_executed,
-                "nat",
-            );
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        timings.push(phase(
-            "nat_run",
-            secs,
-            Some(run.outcome.events_executed as f64 / secs.max(1e-9)),
-        ));
-        run
-    });
-
-    for id in &opts.artifacts {
-        let artifact_t0 = Instant::now();
-        println!("\n================ {id} ================");
-        let main = main_run.as_ref();
-        let natr = nat_run.as_ref();
-        let out = match id {
-            ExperimentId::Table1 => tables::table1(main.unwrap()).render(),
-            ExperimentId::Table2 => tables::table2(main.unwrap()).render(),
-            ExperimentId::Table3 => tables::table3(main.unwrap()).render(),
-            ExperimentId::Table4 => tables::table4(natr.unwrap()).render(),
-            ExperimentId::Fig(n) => {
-                let r = main.unwrap();
-                match n {
-                    1 => figures::fig1(r),
-                    2 => figures::fig2(r),
-                    3 => figures::fig3(r),
-                    4 => figures::fig4(r),
-                    5 => figures::fig5(r),
-                    6 => figures::fig6(r),
-                    7 => figures::fig7(r),
-                    8 => figures::fig8(r),
-                    9 => figures::fig9(r),
-                    10 => figures::fig10(r),
-                    11 => figures::fig11(r),
-                    12 => figures::fig12(r),
-                    13 => figures::fig13(r),
-                    _ => unreachable!("validated at parse"),
+        // End-of-run refresh for the serving plane: a closing series row
+        // (unless `--series-out` already flushed one), fresh `/metrics` +
+        // `/series` snapshots, the final status and the run-finished event.
+        if let Some(shared) = &self.serve {
+            shared.update_status(|s| s.lag_ns = 0);
+            if let Some(sampler) = &sampler {
+                if plan.series_out.is_none() {
+                    sampler.borrow_mut().finish(horizon_ns);
                 }
+                shared.set_series(sampler.borrow().to_csv());
             }
-            ExperimentId::Fig14 => figures::fig14(natr.unwrap()),
-            ExperimentId::Fig15 => figures::fig15(natr.unwrap()),
-            ExperimentId::AblateTick => ablations::ablate_tick(opts.seed, 20).render(),
-            ExperimentId::AblatePopulation => ablations::ablate_population(opts.seed, 240).render(),
-            ExperimentId::AblateNatCapacity => ablations::ablate_nat_capacity(opts.seed).render(),
-            ExperimentId::AblateNatBuffer => ablations::ablate_nat_buffer(opts.seed).render(),
-            ExperimentId::RouteCache => ablations::route_cache_experiment(opts.seed).render(),
-            ExperimentId::SourceModel => ablations::source_model_experiment(opts.seed, 30).render(),
-            ExperimentId::WebVsGame => web::web_vs_game(opts.seed).render(),
-            ExperimentId::AblateLinkMix => ablations::ablate_link_mix(opts.seed, 20).render(),
-            ExperimentId::AggregateServers => aggregate::aggregate_servers(opts.seed, 120).render(),
-        };
-        println!("{out}");
-        if let Some(shared) = &serve_state {
-            shared.append_report(&format!(
-                "\n================ {id} ================\n{out}\n"
+            if let Some(registry) = &self.registry {
+                shared.export_metrics(registry);
+                shared.set_metrics(registry.render_prometheus());
+            }
+            serve_run_finished(shared, label, horizon_ns, events);
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        let rate = events as f64 / secs.max(1e-9);
+        self.timings
+            .push(phase(&format!("{label}_run"), secs, Some(rate)));
+        (result, secs)
+    }
+
+    /// Builds the observe-only side channels for one world run: metric
+    /// handles registered against the registry (when one exists), the
+    /// run's event journal, a wall-clock pacer (`--speed`), and a kernel
+    /// observer driving a [`ProgressReporter`] (`--progress`), a
+    /// [`SeriesSampler`] (`--series-out`/`--serve`) and the live snapshot
+    /// refresh (`--serve`) — all sharing the one observer slot and stride.
+    fn instruments_for(
+        &self,
+        label: &'static str,
+        horizon_ns: u64,
+        journal: Option<Journal>,
+    ) -> RunTelemetry {
+        let plan = self.plan;
+        let registry = self.registry.as_ref();
+        let serve = self.serve.clone();
+        let speed = plan.speed;
+        let mut instruments = WorldInstruments::default();
+        if let Some(registry) = registry {
+            instruments.metrics = Some(GameMetrics::register(registry));
+            instruments.link_metrics = Some(LinkMetrics::register(registry));
+        }
+        instruments.journal = journal.clone();
+        let pacer_stats: Option<Arc<PacerStats>> = speed.is_paced().then(|| {
+            let pacer = Pacer::new(speed);
+            let stats = pacer.stats();
+            instruments.pacer = Some(pacer);
+            stats
+        });
+        let reporter = plan
+            .progress
+            .then(|| Rc::new(ProgressReporter::new(label, Some(horizon_ns))));
+        let sampler = registry
+            .filter(|_| plan.series_out.is_some() || serve.is_some())
+            .map(|registry| {
+                let interval_ns = plan.series_interval_ms * 1_000_000;
+                Rc::new(RefCell::new(SeriesSampler::new(
+                    registry.clone(),
+                    interval_ns,
+                )))
+            });
+        if reporter.is_some() || sampler.is_some() || serve.is_some() {
+            let reporter_cb = reporter.clone();
+            let sampler_cb = sampler.clone();
+            let registry_cb = registry.cloned();
+            let last_refresh = Cell::new(Instant::now());
+            // The sampler needs to see the sim clock often enough to hit its
+            // interval boundaries; the progress reporter rate-limits itself on
+            // wall time, so the finer stride costs only the callback dispatch.
+            let stride = if sampler.is_some() {
+                OBSERVER_STRIDE / 8
+            } else {
+                OBSERVER_STRIDE
+            };
+            instruments.observer = Some((
+                stride,
+                Box::new(move |sim: &Simulator| {
+                    if let Some(reporter) = &reporter_cb {
+                        reporter.maybe_report(
+                            sim.now().as_nanos(),
+                            sim.events_executed(),
+                            sim.pending_events(),
+                        );
+                    }
+                    if let Some(sampler) = &sampler_cb {
+                        sampler.borrow_mut().observe(sim.now().as_nanos());
+                    }
+                    // Live snapshot refresh: render the (single-threaded)
+                    // registry and sampler here on the sim thread and swap the
+                    // strings into the shared state. Wall-rate-limited so a
+                    // max-speed run spends its time simulating, not rendering.
+                    if let Some(serve) = &serve {
+                        let now = Instant::now();
+                        if now.duration_since(last_refresh.get()) >= SERVE_REFRESH {
+                            last_refresh.set(now);
+                            let sim_ns = sim.now().as_nanos();
+                            let events = sim.events_executed();
+                            let lag_ns = pacer_stats.as_ref().map_or(0, |s| s.lag_ns());
+                            let journal_dropped = journal.as_ref().map_or(0, Journal::dropped);
+                            serve.update_status(|s| {
+                                s.sim_ns = sim_ns;
+                                s.events = events;
+                                s.lag_ns = lag_ns;
+                                s.journal_dropped = journal_dropped;
+                            });
+                            if let Some(registry) = &registry_cb {
+                                serve.export_metrics(registry);
+                                serve.set_metrics(registry.render_prometheus());
+                            }
+                            if let Some(sampler) = &sampler_cb {
+                                serve.set_series(sampler.borrow().to_csv());
+                            }
+                        }
+                    }
+                }),
             ));
         }
-
-        if let Some(dir) = &opts.csv_dir {
-            match id {
-                ExperimentId::Fig(1) | ExperimentId::Fig(2) => {
-                    let r = main.unwrap();
-                    let minutes: Vec<f64> = (0..r.analysis.per_minute.bins().len())
-                        .map(|i| i as f64)
-                        .collect();
-                    write_csv(
-                        dir,
-                        &id.to_string(),
-                        &["minute", "kbps", "pps"],
-                        &[
-                            &minutes,
-                            &r.analysis.per_minute.kbps(),
-                            &r.analysis.per_minute.pps(),
-                        ],
-                    );
-                }
-                ExperimentId::Fig(5) => {
-                    let r = main.unwrap();
-                    let pts = r.analysis.variance_time.points();
-                    let xs: Vec<f64> = pts.iter().map(|p| p.log_block()).collect();
-                    let ys: Vec<f64> = pts.iter().map(|p| p.log_variance()).collect();
-                    write_csv(dir, "fig5", &["log10_block", "log10_norm_var"], &[&xs, &ys]);
-                }
-                ExperimentId::Fig(6) => {
-                    let r = main.unwrap();
-                    write_csv(dir, "fig6", &["pps"], &[&r.analysis.ms10_total.pps()]);
-                }
-                ExperimentId::Fig(9) => {
-                    let r = main.unwrap();
-                    write_csv(dir, "fig9", &["pps"], &[&r.analysis.sec1_total.pps()]);
-                }
-                ExperimentId::Fig14 => {
-                    let r = natr.unwrap();
-                    write_csv(
-                        dir,
-                        "fig14",
-                        &["clients_to_nat_pps", "nat_to_server_pps"],
-                        &[&r.clients_to_nat.pps(), &r.nat_to_server.pps()],
-                    );
-                }
-                ExperimentId::Fig15 => {
-                    let r = natr.unwrap();
-                    write_csv(
-                        dir,
-                        "fig15",
-                        &["server_to_nat_pps", "nat_to_clients_pps"],
-                        &[&r.server_to_nat.pps(), &r.nat_to_clients.pps()],
-                    );
-                }
-                _ => {}
-            }
-        }
-        let secs = artifact_t0.elapsed().as_secs_f64();
-        eprintln!("[time] {id}: {secs:.3} s wall");
-        timings.push(phase(&id.to_string(), secs, None));
+        (instruments, reporter, sampler)
     }
 
-    if let Some(servers) = opts.fleet {
+    /// Finishes one run's profile: detaches it from the registry, exports
+    /// the `profile.*` wall counters, writes the collapsed-stack and merged
+    /// Chrome-trace views (`--profile-out`); the caller folds the snapshot
+    /// into the cross-run cumulative.
+    /// Everything here is wall-domain — stderr and side files only, so the
+    /// byte-identity of stdout and determinism artifacts is untouched.
+    fn finish_profile(&self, profile: &Profile, label: &str, journal: Option<&Journal>) {
+        if let Some(registry) = &self.registry {
+            registry.attach_profile(None);
+            export_profile_metrics(registry, profile);
+        }
+        if let Some(dir) = &self.plan.profile_out {
+            let path = format!("{dir}/{label}.folded");
+            let wrote = format!(
+                "[profile] wrote {path} ({} frames, {} enters)",
+                profile.frames(),
+                profile.enters()
+            );
+            write_side_file(Some(dir), &path, profile.render_folded(), wrote);
+            if let Some(journal) = journal {
+                let path = format!("{dir}/{label}.trace.json");
+                let data = journal.export_chrome_trace_with(&profile.chrome_rows(2));
+                let wrote = format!("[profile] wrote {path} (journal + profile spans)");
+                write_side_file(None, &path, data, wrote);
+            }
+        }
+    }
+
+    /// A journal for one run when `--trace-out` or `--serve` wants one,
+    /// tapped into the serving bus.
+    fn journal(&self) -> Option<Journal> {
+        let journal = (self.plan.trace_out.is_some() || self.serve.is_some()).then(Journal::new);
+        if let (Some(journal), Some(shared)) = (&journal, &self.serve) {
+            journal.set_tap(shared.bus().clone());
+        }
+        journal
+    }
+
+    /// Folds a run's profile into the cross-run cumulative behind the
+    /// ranked table and `/profile`.
+    fn absorb_profile(&mut self, snap: &ProfileSnapshot) {
+        match &mut self.profile_total {
+            Some(total) => total.absorb(snap),
+            None => self.profile_total = Some(snap.clone()),
+        }
+        if let (Some(shared), Some(total)) = (&self.serve, &self.profile_total) {
+            shared.set_profile(total.render_table());
+        }
+    }
+
+    /// `--fleet N`: the in-process facility on the work-stealing pool, its
+    /// provisioning report on stdout, and its side channels.
+    fn fleet(&mut self, mut config: FleetConfig) -> Result<(), String> {
+        let plan = self.plan;
         eprintln!(
-            "[run] fleet: {servers} servers x {} simulated min (seed {})...",
-            opts.fleet_minutes, opts.seed
+            "[run] fleet: {} servers x {} simulated min (seed {})...",
+            config.servers, config.minutes, config.seed
         );
         let t0 = Instant::now();
-        let mut config = FleetConfig::new("fleet", opts.seed, servers, opts.fleet_minutes);
-        config.speed = opts.speed;
-        if let Some(attempts) = opts.fleet_retries {
-            config.retry.attempts = attempts;
-        }
-        config.fail_plan = opts.fleet_fail.clone();
-        config.profile = profile_enabled;
-        // The health board behind /shards: workers beat it in-process;
-        // a scanner thread folds in .hb sidecars so externally-written
-        // heartbeats (other processes sharing the state dir) are seen
-        // too. The watchdog deadline is wall-domain and tunable because
-        // "stalled" is a property of the host, not the simulation.
-        let watchdog_ms: u64 = std::env::var("CSPROV_WATCHDOG_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(3000);
-        let board = serve_state.as_ref().map(|shared| {
+        // The health board behind /shards: workers beat it in-process; a
+        // scanner thread folds in .hb sidecars so heartbeats written by
+        // other processes sharing the state dir are seen too.
+        let board = self.serve.as_ref().map(|shared| {
             let board = Arc::new(ShardHealthBoard::new(
-                servers,
-                Duration::from_millis(watchdog_ms),
+                config.servers,
+                Duration::from_millis(watchdog_ms()),
             ));
             shared.set_board(board.clone());
             board
         });
         config.health = board.clone();
-        let persistence = match (&opts.fleet_state_dir, opts.fleet_resume) {
+        let persistence = match (&plan.fleet_state_dir, plan.resume) {
             (Some(dir), true) => fleet::FleetPersistence::resume_from(dir),
             (Some(dir), false) => fleet::FleetPersistence::checkpoint_to(dir),
             (None, _) => fleet::FleetPersistence::none(),
         };
-        let fleet_horizon = SimDuration::from_mins(opts.fleet_minutes).as_nanos();
-        if let Some(shared) = &serve_state {
-            shared.update_status(|s| {
-                s.state = "running";
-                s.horizon_ns = fleet_horizon;
-                s.sim_ns = 0;
-                s.shards_total = servers as u64;
-                s.shards_done = 0;
-            });
-            shared.bus().publish(BusEvent::RunStarted {
-                label: "fleet".into(),
-                horizon_ns: fleet_horizon,
-            });
+        if let Some(shared) = &self.serve {
+            serve_run_started(shared, "fleet", fleet_horizon_ns(&config), config.servers);
         }
-        // Execution-plane event hook: shard completions feed the serving
-        // plane (interim reports, live status), while recovery events
-        // (retries, losses, checkpoint and resume activity) narrate to
-        // stderr. The canonical merge happens inside the engine, so none
-        // of this affects the answer.
-        let partial: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
-        let on_event = |ev: &fleet::FleetEvent<'_>| match ev {
-            fleet::FleetEvent::ShardDone { state, .. } => {
-                let Some(shared) = &serve_state else { return };
-                let mut done = partial.lock().unwrap_or_else(|e| e.into_inner());
-                done.push((*state).clone());
-                let n = done.len() as u64;
-                shared.update_status(|s| {
-                    s.shards_done = n;
-                    s.sim_ns = fleet_horizon * n / servers as u64;
-                });
-                shared.bus().publish(BusEvent::Trace(TraceEvent {
-                    sim_ns: fleet_horizon * n / servers as u64,
-                    kind: "fleet.shard.done",
-                    key: state.shard as u64,
-                    value: n,
-                }));
-                if let Ok(report) = fleet::interim_report(&config, &done) {
-                    shared.set_report(format!(
-                            "================ fleet (interim, {n}/{servers} shards) ================\n{}\n{}\n",
-                            report.render().render(),
-                            report.sizing_line()
-                        ));
-                }
-            }
-            fleet::FleetEvent::ShardRetry {
-                shard,
-                attempt,
-                backoff_ns,
-                message,
-            } => {
-                eprintln!(
-                    "[fleet] shard {shard} attempt {attempt} failed ({message}); \
-                         retrying after {} ms simulated backoff",
-                    backoff_ns / 1_000_000
-                );
-            }
-            fleet::FleetEvent::ShardLost {
-                shard,
-                attempts,
-                message,
-            } => {
-                eprintln!(
-                    "[fleet] shard {shard} LOST after {attempts} attempts ({message}); \
-                         report degrades to a lower bound"
-                );
-            }
-            fleet::FleetEvent::CheckpointWritten { .. } => {}
-            fleet::FleetEvent::CheckpointFailed { shard, message } => {
-                eprintln!("[fleet] shard {shard} checkpoint write failed: {message}");
-            }
-            fleet::FleetEvent::ResumeLoaded { shard } => {
-                eprintln!("[fleet] shard {shard} restored from checkpoint");
-            }
-            fleet::FleetEvent::ResumeInvalid { message } => {
-                eprintln!("[fleet] ignoring invalid checkpoint: {message}");
+        let partial = Mutex::new(Vec::new());
+        let serve = &self.serve;
+        let on_event = |ev: &FleetEvent<'_>| {
+            narrate_fleet("[fleet]", ev);
+            if let (FleetEvent::ShardDone { state, .. }, Some(shared)) = (ev, serve) {
+                serve_shard_done(shared, &config, &partial, state);
             }
         };
         // Heartbeat sidecar scanner: while the fleet runs, fold any .hb
         // files in the state dir into the board and narrate fresh beats
         // onto the bus. Reads only; undecodable files are skipped.
         let scan_stop = Arc::new(AtomicBool::new(false));
-        let scanner = match (&board, &opts.fleet_state_dir, &serve_state) {
+        let scanner = match (board.clone(), &plan.fleet_state_dir, serve.clone()) {
             (Some(board), Some(dir), Some(shared)) => {
-                let board = board.clone();
-                let shared = shared.clone();
-                let dir = std::path::PathBuf::from(dir);
-                let stop = scan_stop.clone();
+                let (dir, stop) = (PathBuf::from(dir), scan_stop.clone());
                 std::thread::Builder::new()
                     .name("csprov-hb-scan".to_string())
                     .spawn(move || {
@@ -1864,106 +1104,508 @@ fn main() -> ExitCode {
             }
             _ => None,
         };
-        let fleet_result = fleet::run_fleet_full(&config, &persistence, Some(&on_event));
+        let result = fleet::run_fleet_full(&config, &persistence, Some(&on_event));
         scan_stop.store(true, Ordering::Relaxed);
         if let Some(handle) = scanner {
             let _ = handle.join();
         }
-        match fleet_result {
-            Ok(run) => {
-                let secs = t0.elapsed().as_secs_f64();
-                println!("\n================ fleet ================");
-                println!("{}", run.report.render().render());
-                println!("{}", run.report.sizing_line());
-                if let Some(registry) = &registry {
-                    run.export_metrics(registry);
-                    if let Some(board) = &board {
-                        board.export_metrics(registry);
-                    }
-                }
-                if let Some(snap) = &run.profile {
-                    if let Some(dir) = &opts.profile_out {
-                        let folded_path = format!("{dir}/fleet.folded");
-                        let write = std::fs::create_dir_all(dir)
-                            .and_then(|_| std::fs::write(&folded_path, snap.render_folded()));
-                        match write {
-                            Ok(()) => eprintln!(
-                                "[profile] wrote {folded_path} ({} frames)",
-                                snap.entries().len()
-                            ),
-                            Err(e) => eprintln!("warning: could not write {folded_path}: {e}"),
-                        }
-                    }
-                    absorb_profile(&mut profile_total, snap);
-                    if let (Some(shared), Some(total)) = (&serve_state, &profile_total) {
-                        shared.set_profile(total.render_table());
-                    }
-                }
-                let journal =
-                    (opts.trace_out.is_some() || serve_state.is_some()).then(Journal::new);
-                if let Some(journal) = &journal {
-                    if let Some(shared) = &serve_state {
-                        journal.set_tap(shared.bus().clone());
-                    }
-                    run.emit_journal(journal);
-                    if let Some(base) = &opts.trace_out {
-                        write_journal(journal, base, "fleet");
-                    }
-                }
-                if let Some(shared) = &serve_state {
-                    shared.set_report(format!(
-                        "================ fleet ================\n{}\n{}\n",
-                        run.report.render().render(),
-                        run.report.sizing_line()
-                    ));
-                    shared.update_status(|s| {
-                        s.sim_ns = fleet_horizon;
-                        s.shards_done = run.facility.shards as u64;
-                        s.events = run.facility.counts.total_packets();
-                    });
-                    shared.bus().publish(BusEvent::RunFinished {
-                        label: "fleet".into(),
-                        sim_ns: fleet_horizon,
-                        events: run.facility.counts.total_packets(),
-                    });
-                }
-                eprintln!(
-                    "[run] fleet done: {} packets across {} shards in {:.1} s wall",
-                    run.facility.counts.total_packets(),
-                    run.facility.shards,
-                    secs
-                );
-                let p = &run.persist;
-                if p.checkpoints_written + p.resumed + p.invalid_checkpoints > 0 {
-                    eprintln!(
-                        "[fleet] persistence: {} checkpoints written, {} shards resumed, \
-                         {} invalid checkpoints recomputed",
-                        p.checkpoints_written, p.resumed, p.invalid_checkpoints
-                    );
-                }
-                let cov = &run.report.coverage;
-                if cov.is_degraded() {
-                    eprintln!(
-                        "[fleet] DEGRADED: {}/{} shards merged; lost {:?}; \
-                         headline numbers are lower bounds",
-                        cov.merged, cov.configured, cov.lost
-                    );
-                }
-                eprintln!("[time] fleet: {secs:.3} s wall");
-                timings.push(phase(
-                    "fleet",
-                    secs,
-                    Some(run.facility.counts.total_packets() as f64 / secs.max(1e-9)),
-                ));
-            }
-            Err(e) => {
-                eprintln!("error: fleet run failed: {e}");
-                return ExitCode::FAILURE;
+        let run = result.map_err(|e| format!("fleet run failed: {e}"))?;
+        let secs = t0.elapsed().as_secs_f64();
+        print!("\n{}", fleet_block(&run.report));
+        if let Some(registry) = &self.registry {
+            run.export_metrics(registry);
+            if let Some(board) = &board {
+                board.export_metrics(registry);
             }
         }
+        if let Some(snap) = &run.profile {
+            if let Some(dir) = &plan.profile_out {
+                let path = format!("{dir}/fleet.folded");
+                let wrote = format!("[profile] wrote {path} ({} frames)", snap.entries().len());
+                write_side_file(Some(dir), &path, snap.render_folded(), wrote);
+            }
+            self.absorb_profile(snap);
+        }
+        if let Some(journal) = self.journal() {
+            run.emit_journal(&journal);
+            if let Some(base) = &plan.trace_out {
+                write_journal(&journal, base, "fleet");
+            }
+        }
+        if let Some(shared) = &self.serve {
+            serve_fleet_finished(shared, &config, &run);
+        }
+        narrate_fleet_done("[run]", &run, secs);
+        let p = &run.persist;
+        if p.checkpoints_written + p.resumed + p.invalid_checkpoints > 0 {
+            eprintln!(
+                "[fleet] persistence: {} checkpoints written, {} shards resumed, \
+                 {} invalid checkpoints recomputed",
+                p.checkpoints_written, p.resumed, p.invalid_checkpoints
+            );
+        }
+        eprintln!("[time] fleet: {secs:.3} s wall");
+        let rate = run.facility.counts.total_packets() as f64 / secs.max(1e-9);
+        self.timings.push(phase("fleet", secs, Some(rate)));
+        Ok(())
+    }
+}
+
+/// Figures 1-13, in order; all render from the main run.
+const MAIN_FIGURES: [fn(&MainRun) -> String; 13] = [
+    figures::fig1,
+    figures::fig2,
+    figures::fig3,
+    figures::fig4,
+    figures::fig5,
+    figures::fig6,
+    figures::fig7,
+    figures::fig8,
+    figures::fig9,
+    figures::fig10,
+    figures::fig11,
+    figures::fig12,
+    figures::fig13,
+];
+
+/// The world runs one invocation performed. `run` performs every world
+/// run its artifacts need, so an artifact always finds its run here.
+struct Runs {
+    main: Option<MainRun>,
+    nat: Option<NatRun>,
+}
+
+impl Runs {
+    fn main(&self) -> &MainRun {
+        self.main
+            .as_ref()
+            .expect("main-run artifacts schedule the main run")
     }
 
-    for report in &chaos_reports {
+    fn nat(&self) -> &NatRun {
+        self.nat
+            .as_ref()
+            .expect("NAT artifacts schedule the NAT run")
+    }
+}
+
+/// Renders one artifact from the world run it needs.
+fn render_artifact(id: ExperimentId, runs: &Runs, seed: u64) -> String {
+    match id {
+        ExperimentId::Table1 => tables::table1(runs.main()).render(),
+        ExperimentId::Table2 => tables::table2(runs.main()).render(),
+        ExperimentId::Table3 => tables::table3(runs.main()).render(),
+        ExperimentId::Table4 => tables::table4(runs.nat()).render(),
+        ExperimentId::Fig(n) => MAIN_FIGURES[usize::from(n) - 1](runs.main()),
+        ExperimentId::Fig14 => figures::fig14(runs.nat()),
+        ExperimentId::Fig15 => figures::fig15(runs.nat()),
+        ExperimentId::AblateTick => ablations::ablate_tick(seed, 20).render(),
+        ExperimentId::AblatePopulation => ablations::ablate_population(seed, 240).render(),
+        ExperimentId::AblateNatCapacity => ablations::ablate_nat_capacity(seed).render(),
+        ExperimentId::AblateNatBuffer => ablations::ablate_nat_buffer(seed).render(),
+        ExperimentId::RouteCache => ablations::route_cache_experiment(seed).render(),
+        ExperimentId::SourceModel => ablations::source_model_experiment(seed, 30).render(),
+        ExperimentId::WebVsGame => web::web_vs_game(seed).render(),
+        ExperimentId::AblateLinkMix => ablations::ablate_link_mix(seed, 20).render(),
+        ExperimentId::AggregateServers => aggregate::aggregate_servers(seed, 120).render(),
+    }
+}
+
+/// `--csv DIR`: the data series behind the key figures, as
+/// `DIR/<figure>.csv` (announced on stdout).
+fn write_artifact_csv(dir: &str, id: ExperimentId, runs: &Runs) {
+    let (headers, cols): (&[&str], Vec<Vec<f64>>) = match id {
+        ExperimentId::Fig(1) | ExperimentId::Fig(2) => {
+            let series = &runs.main().analysis.per_minute;
+            let minutes = (0..series.bins().len()).map(|i| i as f64).collect();
+            (
+                &["minute", "kbps", "pps"],
+                vec![minutes, series.kbps(), series.pps()],
+            )
+        }
+        ExperimentId::Fig(5) => {
+            let pts = runs.main().analysis.variance_time.points();
+            let xs = pts.iter().map(|p| p.log_block()).collect();
+            let ys = pts.iter().map(|p| p.log_variance()).collect();
+            (&["log10_block", "log10_norm_var"], vec![xs, ys])
+        }
+        ExperimentId::Fig(6) => (&["pps"], vec![runs.main().analysis.ms10_total.pps()]),
+        ExperimentId::Fig(9) => (&["pps"], vec![runs.main().analysis.sec1_total.pps()]),
+        ExperimentId::Fig14 => {
+            let r = runs.nat();
+            let cols = vec![r.clients_to_nat.pps(), r.nat_to_server.pps()];
+            (&["clients_to_nat_pps", "nat_to_server_pps"], cols)
+        }
+        ExperimentId::Fig15 => {
+            let r = runs.nat();
+            let cols = vec![r.server_to_nat.pps(), r.nat_to_clients.pps()];
+            (&["server_to_nat_pps", "nat_to_clients_pps"], cols)
+        }
+        _ => return,
+    };
+    let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+    let path = format!("{dir}/{id}.csv");
+    match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, to_csv(headers, &cols))) {
+        Ok(()) => println!("[csv] wrote {path}"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+    }
+}
+
+/// `--metrics-out` in the requested format.
+fn render_metrics(registry: &MetricsRegistry, format: MetricsFormat, labels: &[String]) -> String {
+    match format {
+        MetricsFormat::Combined => {
+            let mut out = String::new();
+            for label in labels {
+                out += &format!("# ==== {label} ====\n");
+                for line in registry.render_deterministic().lines() {
+                    out += &format!("# {line}\n");
+                }
+                out += &registry.render_jsonl(label);
+            }
+            out
+        }
+        MetricsFormat::Text => {
+            // Deterministic section first (byte-stable per seed), then the
+            // wall section (span wall histograms with p50/p95/p99,
+            // profile.*, shard.*, serve.*) under a comment fence so
+            // consumers can split them apart.
+            let mut out = registry.render_deterministic();
+            let wall = registry.render_wall();
+            if !wall.is_empty() {
+                out.push_str("# ---- wall (host-dependent) ----\n");
+                out.push_str(&wall);
+            }
+            out
+        }
+        MetricsFormat::Json => labels.iter().map(|l| registry.render_jsonl(l)).collect(),
+        MetricsFormat::Prom => registry.render_prometheus(),
+    }
+}
+
+/// `repro fleet merge OUT_REPORT STATE_FILE...` — the multi-process
+/// provisioning path: folds shard checkpoint files (written by
+/// independent `--fleet-state-dir` runs or machines) through the same
+/// typed merge layer the in-process fleet uses, and writes the rendered
+/// provisioning report. Files stream through one accumulator in shard
+/// order, so merging 10k+ states never holds more than one decoded
+/// state at a time.
+fn fleet_merge_command(args: &[String]) -> Result<(), String> {
+    let [out, _, ..] = args else {
+        return Err(format!(
+            "fleet merge needs a report path and state files\nusage: {MERGE_USAGE}"
+        ));
+    };
+    let paths: Vec<PathBuf> = args[1..].iter().map(PathBuf::from).collect();
+    // The report header's run length comes from the first shard's recorded
+    // duration (every shard of one fleet runs the same horizon).
+    let first = |path: &PathBuf| -> Result<SimDuration, String> {
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+        let state = fleet::persist::decode_shard_state(&bytes).map_err(|e| e.to_string())?;
+        Ok(state.duration)
+    };
+    let duration = first(&paths[0]).map_err(|e| format!("{}: {e}", paths[0].display()))?;
+    let minutes = duration.as_secs() / 60;
+    let (facility, shards) = fleet::persist::merge_state_files(&paths)
+        .map_err(|e| format!("fleet merge failed: {e}"))?;
+    let config = FleetConfig::new("fleet", 0, facility.shards, minutes.max(1));
+    let coverage = fleet::FleetCoverage::full(facility.shards);
+    let report = ProvisioningReport::build(&config, &facility, &shards, coverage)
+        .map_err(|e| format!("fleet merge report failed: {e}"))?;
+    let text = fleet_block(&report);
+    std::fs::write(out, &text).map_err(|e| format!("could not write {out}: {e}"))?;
+    eprintln!(
+        "[merge] folded {} state files into {out} ({} packets)",
+        paths.len(),
+        facility.counts.total_packets()
+    );
+    print!("{text}");
+    Ok(())
+}
+
+/// `repro fleet work --shards LO:HI ...` — the worker half of the
+/// coordinator/worker protocol: executes one assigned shard range against
+/// the shared state directory, writing checkpoints and heartbeat sidecars
+/// the coordinator watches. Narrates to stderr only (stdout belongs to
+/// the coordinator's report). Exits 0 even when shards were lost after
+/// exhausting retries — loss is coverage accounting, not a worker crash.
+fn fleet_work_command(plan: &Plan) -> Result<(), String> {
+    let (Some(config), Some(range), Some(dir)) =
+        (plan.fleet_config(), plan.shards, &plan.fleet_state_dir)
+    else {
+        unreachable!("validated: fleet work requires --fleet, --shards and --fleet-state-dir");
+    };
+    eprintln!(
+        "[worker] shards {range} of a {}-shard fleet (seed {}, state dir {dir})",
+        config.servers, config.seed,
+    );
+    let t0 = Instant::now();
+    let on_event = |ev: &FleetEvent<'_>| narrate_fleet("[worker]", ev);
+    let summary = fleet::coord::run_worker_range(&config, range, dir.as_ref(), Some(&on_event))
+        .map_err(|e| format!("fleet work failed: {e}"))?;
+    eprintln!(
+        "[worker] range {range} finished in {:.1} s wall: {} done, {} resumed, \
+         {} lost, {} retries",
+        t0.elapsed().as_secs_f64(),
+        summary.done.len(),
+        summary.resumed.len(),
+        summary.lost.len(),
+        summary.retries
+    );
+    Ok(())
+}
+
+/// A spawned `repro fleet work` child as a pollable coordinator handle.
+struct ProcessWorker {
+    child: std::process::Child,
+}
+
+impl fleet::coord::WorkerHandle for ProcessWorker {
+    fn try_status(&mut self) -> Option<Result<(), String>> {
+        match self.child.try_wait() {
+            Ok(None) => None,
+            Ok(Some(status)) if status.success() => Some(Ok(())),
+            Ok(Some(status)) => Some(Err(status.to_string())),
+            Err(e) => Some(Err(e.to_string())),
+        }
+    }
+}
+
+/// `repro fleet coordinate ...` — plans shard ranges, spawns `repro fleet
+/// work` children against the shared state directory, watches their
+/// heartbeat sidecars and exits, re-dispatches ranges of killed workers,
+/// folds the collected checkpoints through the hierarchical merge tree,
+/// and prints the same byte-identical report as an in-process `--fleet`
+/// run. With `--serve`, `/shards` and `/report` watch a fleet this
+/// process never executes — the board is fed purely from sidecars.
+fn fleet_coordinate_command(plan: &Plan) -> Result<(), String> {
+    let (Some(mut config), Some(dir)) = (plan.fleet_config(), &plan.fleet_state_dir) else {
+        unreachable!("validated: fleet coordinate requires --fleet and --fleet-state-dir");
+    };
+    let board = Arc::new(ShardHealthBoard::new(
+        config.servers,
+        Duration::from_millis(watchdog_ms()),
+    ));
+    config.health = Some(board.clone());
+
+    // The optional serving plane: this process executes nothing, so every
+    // document it serves is assembled from observation — `/shards` from
+    // sidecar records aged by mtime, `/report` from checkpoints collected
+    // so far.
+    let serving = bind_serve(plan.serve.as_deref())?;
+    let serve = serving.as_ref().map(|s| &s.shared);
+    if let Some(shared) = serve {
+        shared.set_board(board.clone());
+        shared.update_status(|s| {
+            s.mode = "coordinate";
+            s.label = "fleet".to_string();
+            s.seed = config.seed;
+        });
+        serve_run_started(shared, "fleet", fleet_horizon_ns(&config), config.servers);
+    }
+
+    eprintln!(
+        "[coord] fleet: {} servers x {} simulated min (seed {}), {} workers, \
+         fan-in {}, state dir {dir}",
+        config.servers, config.minutes, config.seed, plan.workers, plan.fan_in,
+    );
+    let t0 = Instant::now();
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot locate own executable to spawn workers: {e}"))?;
+    let launch = |worker: usize, range: ShardRange| {
+        std::process::Command::new(&exe)
+            .args(plan.worker_args(range))
+            // Worker stdout is the coordinator's: only the coordinator may
+            // print to it (the report must stay byte-identical to --fleet).
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .map(|child| ProcessWorker { child })
+            .map_err(|e| format!("spawn worker {worker}: {e}"))
+    };
+    let partial = Mutex::new(Vec::new());
+    let on_event = |ev: &CoordEvent<'_>| match ev {
+        CoordEvent::WorkerLaunched {
+            worker,
+            range,
+            attempt,
+        } => eprintln!("[coord] worker {worker} launched for shards {range} (attempt {attempt})"),
+        CoordEvent::WorkerExited {
+            worker,
+            range,
+            clean,
+            detail,
+        } => {
+            if *clean {
+                eprintln!("[coord] worker {worker} finished shards {range}");
+            } else {
+                eprintln!("[coord] worker {worker} died on shards {range} ({detail})");
+            }
+        }
+        CoordEvent::RangeRedispatched {
+            worker,
+            range,
+            attempt,
+        } => eprintln!(
+            "[coord] re-dispatching shards {range} of worker {worker} (attempt {attempt})"
+        ),
+        CoordEvent::RangeLost {
+            worker,
+            range,
+            shards,
+            message,
+        } => eprintln!(
+            "[coord] shards {shards:?} of worker {worker} (range {range}) LOST ({message}); \
+             report degrades to a lower bound"
+        ),
+        CoordEvent::ShardCollected { shard, state } => {
+            eprintln!("[coord] shard {shard} collected");
+            if let Some(shared) = serve {
+                serve_shard_done(shared, &config, &partial, state);
+            }
+        }
+    };
+    let coord_opts = fleet::coord::CoordOptions {
+        workers: plan.workers,
+        fan_in: plan.fan_in,
+        ..fleet::coord::CoordOptions::default()
+    };
+    let run = fleet::coord::coordinate(&config, dir.as_ref(), &coord_opts, launch, Some(&on_event))
+        .map_err(|e| format!("fleet coordinate failed: {e}"))?;
+    print!("\n{}", fleet_block(&run.report));
+    narrate_fleet_done("[coord]", &run, t0.elapsed().as_secs_f64());
+    if let Some(serving) = serving {
+        serve_fleet_finished(&serving.shared, &config, &run);
+        serving.close(plan.serve_linger_secs);
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = match argv.iter().map(String::as_str).take(2).collect::<Vec<_>>()[..] {
+        ["fleet", "merge"] => return exit(fleet_merge_command(&argv[2..])),
+        ["fleet", "work"] => (Command::Work, &argv[2..]),
+        ["fleet", "coordinate"] => (Command::Coordinate, &argv[2..]),
+        _ => (Command::Run, &argv[..]),
+    };
+    let plan = match Plan::parse(command, args) {
+        Ok(plan) => plan,
+        Err(e) => {
+            if !e.is_empty() {
+                eprintln!("error: {e}");
+            }
+            eprint!("{}", usage(command));
+            return ExitCode::FAILURE;
+        }
+    };
+    exit(match command {
+        Command::Run => run(&plan),
+        Command::Work => fleet_work_command(&plan),
+        Command::Coordinate => fleet_coordinate_command(&plan),
+    })
+}
+
+fn exit(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The main run: the world runs its artifacts need, the artifacts
+/// themselves, the fleet, and every requested side channel.
+fn run(plan: &Plan) -> Result<(), String> {
+    let duration = if plan.full_week {
+        SimDuration::from_secs(PAPER_TRACE_SECS)
+    } else {
+        SimDuration::from_secs_f64(plan.hours * 3600.0)
+    };
+    let serving = bind_serve(plan.serve.as_deref())?;
+    let mut session = Session {
+        plan,
+        registry: (plan.metrics_out.is_some()
+            || plan.series_out.is_some()
+            || plan.profile_enabled())
+        .then(MetricsRegistry::new),
+        serve: serving.as_ref().map(|s| s.shared.clone()),
+        profile_total: None,
+        timings: Vec::new(),
+        chaos_reports: Vec::new(),
+    };
+    if let Some(shared) = &session.serve {
+        shared.update_status(|s| {
+            s.seed = plan.seed;
+            s.speed = plan.speed.to_string();
+            s.label = plan.labels().join(",");
+        });
+    }
+    let total_t0 = Instant::now();
+
+    let main = plan.artifacts.iter().any(|a| a.needs_main_run()).then(|| {
+        eprintln!(
+            "[run] simulating {:.1} h of server traffic (seed {})...",
+            duration.as_secs_f64() / 3600.0,
+            plan.seed
+        );
+        let scenario = || ScenarioConfig::scaled(plan.seed, duration);
+        let (run, secs) = session.world(
+            "main",
+            duration.as_nanos(),
+            |r: &MainRun| r.outcome.events_executed,
+            |inst, reg| MainRun::execute_instrumented(scenario(), inst, reg),
+            |spec, seed, inst, reg| chaos::run_chaos_main(spec, scenario(), seed, inst, reg),
+        );
+        eprintln!(
+            "[run] done: {} packets in {:.1} s wall ({} events)",
+            run.analysis.counts.total_packets(),
+            secs,
+            run.outcome.events_executed
+        );
+        run
+    });
+    let nat = plan.artifacts.iter().any(|a| a.needs_nat_run()).then(|| {
+        eprintln!("[run] NAT experiment: one 30-minute map through the device...");
+        let horizon_ns = SimDuration::from_mins(30).as_nanos();
+        let engine = EngineConfig::default;
+        let (run, _) = session.world(
+            "nat",
+            horizon_ns,
+            |r: &NatRun| r.outcome.events_executed,
+            |inst, reg| nat::run_nat_experiment_instrumented(plan.seed, engine(), inst, reg),
+            |spec, seed, inst, reg| {
+                nat::run_nat_experiment_chaos(plan.seed, engine(), spec, seed, inst, reg)
+            },
+        );
+        run
+    });
+
+    let runs = Runs { main, nat };
+    for &id in &plan.artifacts {
+        let t0 = Instant::now();
+        println!("\n================ {id} ================");
+        let out = render_artifact(id, &runs, plan.seed);
+        println!("{out}");
+        if let Some(shared) = &session.serve {
+            shared.append_report(&format!(
+                "\n================ {id} ================\n{out}\n"
+            ));
+        }
+        if let Some(dir) = &plan.csv_dir {
+            write_artifact_csv(dir, id, &runs);
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        eprintln!("[time] {id}: {secs:.3} s wall");
+        session.timings.push(phase(&id.to_string(), secs, None));
+    }
+
+    if let Some(config) = plan.fleet_config() {
+        session.fleet(config)?;
+    }
+
+    for report in &session.chaos_reports {
         println!("\n================ chaos ================");
         println!("{}", report.render());
     }
@@ -1971,7 +1613,7 @@ fn main() -> ExitCode {
     // The cumulative wall-time attribution across every run this
     // invocation performed, ranked by self time. Stderr, not stdout —
     // wall timings must never contaminate the determinism artifacts.
-    if let Some(total) = &profile_total {
+    if let Some(total) = &session.profile_total {
         eprintln!("[profile] wall-time attribution (self-time ranked):");
         for line in total.render_table().lines() {
             eprintln!("  {line}");
@@ -1980,87 +1622,29 @@ fn main() -> ExitCode {
 
     let total_secs = total_t0.elapsed().as_secs_f64();
     eprintln!("[time] total: {total_secs:.3} s wall");
-    timings.push(phase("total", total_secs, None));
-    if let Ok(dir) = std::env::var("CSPROV_BENCH_OUT") {
-        if !dir.is_empty() {
-            let path = std::path::Path::new(&dir).join("BENCH_repro.json");
-            let json = render_bench_json("repro", &timings);
-            match std::fs::write(&path, json) {
-                Ok(()) => eprintln!("[bench] wrote {}", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
-        }
+    session.timings.push(phase("total", total_secs, None));
+    if let Some(dir) = std::env::var("CSPROV_BENCH_OUT")
+        .ok()
+        .filter(|d| !d.is_empty())
+    {
+        let path = std::path::Path::new(&dir).join("BENCH_repro.json");
+        let path = path.display().to_string();
+        let json = render_bench_json("repro", &session.timings);
+        write_side_file(None, &path, json, format!("[bench] wrote {path}"));
     }
 
-    if let (Some(path), Some(registry)) = (&opts.metrics_out, &registry) {
-        let mut labels: Vec<String> = opts.artifacts.iter().map(|id| id.to_string()).collect();
-        if opts.fleet.is_some() {
-            labels.push("fleet".to_string());
-        }
-        let out = match opts.metrics_format {
-            MetricsFormat::Combined => {
-                let mut out = String::new();
-                for label in &labels {
-                    out.push_str(&format!("# ==== {label} ====\n"));
-                    for line in registry.render_deterministic().lines() {
-                        out.push_str("# ");
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                    out.push_str(&registry.render_jsonl(label));
-                }
-                out
-            }
-            MetricsFormat::Text => {
-                // Deterministic section first (byte-stable per seed),
-                // then the wall section (span wall histograms with
-                // p50/p95/p99, profile.*, shard.*, serve.*) under a
-                // comment fence so consumers can split them apart.
-                let mut out = registry.render_deterministic();
-                let wall = registry.render_wall();
-                if !wall.is_empty() {
-                    out.push_str("# ---- wall (host-dependent) ----\n");
-                    out.push_str(&wall);
-                }
-                out
-            }
-            MetricsFormat::Json => {
-                let mut out = String::new();
-                for label in &labels {
-                    out.push_str(&registry.render_jsonl(label));
-                }
-                out
-            }
-            MetricsFormat::Prom => registry.render_prometheus(),
-        };
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!("[metrics] wrote {path} ({} instruments)", registry.len()),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let (Some(path), Some(registry)) = (&plan.metrics_out, &session.registry) {
+        let out = render_metrics(registry, plan.metrics_format, &plan.labels());
+        std::fs::write(path, out).map_err(|e| format!("could not write {path}: {e}"))?;
+        eprintln!("[metrics] wrote {path} ({} instruments)", registry.len());
     }
 
-    // Wind the serving plane down: one last snapshot, the terminal status,
-    // an optional linger window for late scrapers, then a clean shutdown
-    // that closes the bus so SSE streams end instead of hanging.
-    if let Some(shared) = &serve_state {
-        if let Some(registry) = &registry {
-            shared.export_metrics(registry);
-            shared.set_metrics(registry.render_prometheus());
+    if let Some(serving) = serving {
+        if let Some(registry) = &session.registry {
+            serving.shared.export_metrics(registry);
+            serving.shared.set_metrics(registry.render_prometheus());
         }
-        shared.update_status(|s| s.state = "finished");
-        if opts.serve_linger_secs > 0 {
-            eprintln!(
-                "[serve] lingering {} s before shutdown",
-                opts.serve_linger_secs
-            );
-            std::thread::sleep(Duration::from_secs(opts.serve_linger_secs));
-        }
+        serving.close(plan.serve_linger_secs);
     }
-    if let Some(mut handle) = serve_handle.take() {
-        handle.shutdown();
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

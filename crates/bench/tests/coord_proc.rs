@@ -89,10 +89,20 @@ fn a_worker_process_runs_its_range_and_exits_cleanly() {
 #[test]
 fn malformed_subcommands_fail_without_touching_disk() {
     let dir = temp_dir("bad");
+    let state = dir.to_str().expect("utf-8 temp path");
+    let worker = ["fleet", "work", "--shards", "0:1", "--fleet", "2"];
+    let coord = ["fleet", "coordinate", "--fleet", "2"];
+    let fleet = ["--fleet-minutes", "1", "--fleet-state-dir", state];
     for args in [
         vec!["fleet", "work", "--fleet", "2"], // no --shards, no state dir
         vec!["fleet", "coordinate"],           // no fleet size, no state dir
         vec!["fleet", "work", "--shards", "3:1", "--fleet", "4"],
+        // Flags that belong to other commands are rejected, not ignored.
+        [&worker[..], &fleet, &["--serve", "127.0.0.1:1"]].concat(),
+        [&worker[..], &fleet, &["--workers", "9"]].concat(),
+        [&worker[..], &fleet, &["--fan-in", "3"]].concat(),
+        // The coordinator holds --serve-linger to the main run's rule.
+        [&coord[..], &fleet, &["--serve-linger", "5"]].concat(),
     ] {
         let out = repro().args(&args).output().expect("repro runs");
         assert!(!out.status.success(), "{args:?} must fail");

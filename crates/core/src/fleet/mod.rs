@@ -1062,32 +1062,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, FleetError> {
     run_fleet_full(config, &FleetPersistence::none(), None)
 }
 
-/// [`run_fleet`] with a shard-completion observer for live serving.
-///
-/// `on_shard` is invoked from the worker thread that finished the shard,
-/// immediately after its reduction — the hook the serving plane uses to
-/// re-merge an interim facility aggregate while other shards still run.
-/// The observer is read-only with respect to the fleet: its return is
-/// `()`, shard states are handed to it by reference, and the canonical
-/// merge happens afterwards from the untouched results, so the final
-/// aggregate cannot depend on observer behavior or timing.
-pub fn run_fleet_observed(
-    config: &FleetConfig,
-    on_shard: Option<&(dyn Fn(&ShardState) + Sync)>,
-) -> Result<FleetRun, FleetError> {
-    match on_shard {
-        None => run_fleet_full(config, &FleetPersistence::none(), None),
-        Some(observe) => {
-            let forward = |ev: &FleetEvent<'_>| {
-                if let FleetEvent::ShardDone { state, .. } = ev {
-                    observe(state);
-                }
-            };
-            run_fleet_full(config, &FleetPersistence::none(), Some(&forward))
-        }
-    }
-}
-
 /// The crash-safe fleet engine: [`run_fleet`] plus checkpointing, resume,
 /// per-shard retry, degraded-mode merging, and an execution-plane event
 /// stream.
@@ -1614,18 +1588,17 @@ mod tests {
         use std::sync::Mutex;
         let cfg = FleetConfig::new("observed", 17, 3, 4);
         let seen: Mutex<Vec<ShardState>> = Mutex::new(Vec::new());
-        let observed = run_fleet_observed(
-            &cfg,
-            Some(&|state: &ShardState| {
+        let observe = |ev: &FleetEvent<'_>| {
+            if let FleetEvent::ShardDone { state, .. } = ev {
                 let mut partial = seen.lock().unwrap();
-                partial.push(state.clone());
+                partial.push((*state).clone());
                 // An interim report over any non-empty prefix is valid.
                 let interim = interim_report(&cfg, &partial).unwrap();
                 assert_eq!(interim.servers, partial.len());
                 assert!(interim.mean_pps > 0.0);
-            }),
-        )
-        .unwrap();
+            }
+        };
+        let observed = run_fleet_full(&cfg, &FleetPersistence::none(), Some(&observe)).unwrap();
         let states = seen.into_inner().unwrap();
         assert_eq!(states.len(), 3);
         // The interim report over ALL shards is the final report.

@@ -47,7 +47,7 @@ pub use fleet::{
     run_fleet, run_fleet_full, FailSpec, FleetConfig, FleetCoverage, FleetError, FleetEvent,
     FleetMerger, FleetPersistence, FleetRun, PersistSummary, ProvisioningReport, RetryPolicy,
 };
-pub use pipeline::{FullAnalysis, MainRun, INGEST_PATH_ENV};
+pub use pipeline::{FullAnalysis, MainRun};
 pub use sweep::{run_parallel, work_steal, RunSummary, WorkerPanic, WorkerPanics};
 
 // Re-export the component crates under one roof for downstream users.

@@ -52,29 +52,11 @@ pub struct FullAnalysis {
     /// Reusable column scratch the burst is transposed into; cleared (not
     /// reallocated) every `on_batch`.
     batch: PacketBatch,
-    /// When set, `on_batch` forwards record slices to every analyzer's
-    /// per-record path instead of transposing to columns. Both paths must
-    /// leave byte-identical analyzer state; the toggle exists so tests and
-    /// the repro CLI can prove it.
-    per_record: bool,
 }
-
-/// Environment variable selecting the ingest delivery path; the value
-/// `per-record` disables the columnar fast path (any other value, or unset,
-/// selects columnar).
-pub const INGEST_PATH_ENV: &str = "CSPROV_INGEST_PATH";
 
 impl FullAnalysis {
     /// Creates the composite for a trace of the given expected duration.
-    /// The ingest path honors [`INGEST_PATH_ENV`].
     pub fn new(duration: SimDuration) -> Self {
-        let per_record = std::env::var(INGEST_PATH_ENV).is_ok_and(|v| v == "per-record");
-        Self::with_ingest(duration, per_record)
-    }
-
-    /// [`FullAnalysis::new`] with the ingest path chosen explicitly instead
-    /// of from the environment.
-    pub fn with_ingest(duration: SimDuration, per_record: bool) -> Self {
         let minute = SimDuration::from_secs(60);
         let ms10 = SimDuration::from_millis(10);
         // Block ladder up to 1/8 of the trace (beyond that too few blocks
@@ -119,7 +101,6 @@ impl FullAnalysis {
             sizes: SizeHistogram::new(500),
             flows: FlowTable::new(),
             batch: PacketBatch::new(),
-            per_record,
         }
     }
 
@@ -226,22 +207,6 @@ impl TraceSink for FullAnalysis {
     }
 
     fn on_batch(&mut self, recs: &[TraceRecord]) {
-        if self.per_record {
-            self.counts.on_batch(recs);
-            self.per_minute.on_batch(recs);
-            self.per_minute_in.on_batch(recs);
-            self.per_minute_out.on_batch(recs);
-            self.ms10_total.on_batch(recs);
-            self.ms10_in.on_batch(recs);
-            self.ms10_out.on_batch(recs);
-            self.ms50_total.on_batch(recs);
-            self.sec1_total.on_batch(recs);
-            self.min30_total.on_batch(recs);
-            self.variance_time.on_batch(recs);
-            self.sizes.on_batch(recs);
-            self.flows.on_batch(recs);
-            return;
-        }
         // Transpose once into the reusable scratch, then fan the columns out
         // to every analyzer. Taking the batch out of `self` lets the columnar
         // delivery borrow `self` mutably; only the Vec headers move.

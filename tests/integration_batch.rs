@@ -6,7 +6,6 @@
 //! lane stores exactly the events plain `emit` would.
 
 use csprov::pipeline::FullAnalysis;
-use csprov::INGEST_PATH_ENV;
 use csprov_game::{ScenarioConfig, World};
 use csprov_net::{Direction, PacketKind, TraceRecord, TraceSink};
 use csprov_obs::{BroadcastBus, BusEvent, Journal};
@@ -64,7 +63,39 @@ fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     out
 }
 
-fn run_through(mut sink: FullAnalysis, bursts: &[Vec<TraceRecord>], end: SimTime) -> FullAnalysis {
+/// The per-record reference the columnar path is diffed against: every
+/// burst goes to each analyzer's own `on_batch`, so no record is ever
+/// transposed into the composite's column scratch.
+struct PerRecord(FullAnalysis);
+
+impl TraceSink for PerRecord {
+    fn on_packet(&mut self, rec: &TraceRecord) {
+        self.0.on_packet(rec);
+    }
+
+    fn on_batch(&mut self, recs: &[TraceRecord]) {
+        let a = &mut self.0;
+        a.counts.on_batch(recs);
+        a.per_minute.on_batch(recs);
+        a.per_minute_in.on_batch(recs);
+        a.per_minute_out.on_batch(recs);
+        a.ms10_total.on_batch(recs);
+        a.ms10_in.on_batch(recs);
+        a.ms10_out.on_batch(recs);
+        a.ms50_total.on_batch(recs);
+        a.sec1_total.on_batch(recs);
+        a.min30_total.on_batch(recs);
+        a.variance_time.on_batch(recs);
+        a.sizes.on_batch(recs);
+        a.flows.on_batch(recs);
+    }
+
+    fn on_end(&mut self, end: SimTime) {
+        self.0.on_end(end);
+    }
+}
+
+fn run_through<S: TraceSink>(mut sink: S, bursts: &[Vec<TraceRecord>], end: SimTime) -> S {
     for burst in bursts {
         sink.on_batch(burst);
     }
@@ -168,9 +199,9 @@ fn columnar_matches_per_record_on_randomized_streams() {
         let bursts = random_bursts(seed, 400);
         // Three deliveries of the same stream: the columnar path (default),
         // the legacy per-record on_batch path, and raw on_packet calls.
-        let columnar = run_through(FullAnalysis::with_ingest(duration, false), &bursts, end);
-        let legacy = run_through(FullAnalysis::with_ingest(duration, true), &bursts, end);
-        let mut packet = FullAnalysis::with_ingest(duration, false);
+        let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
+        let legacy = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
+        let mut packet = FullAnalysis::new(duration);
         for burst in &bursts {
             for rec in burst {
                 packet.on_packet(rec);
@@ -213,45 +244,28 @@ fn uniform_tick_bursts_match_per_record() {
                 .collect(),
         );
     }
-    let columnar = run_through(FullAnalysis::with_ingest(duration, false), &bursts, end);
-    let legacy = run_through(FullAnalysis::with_ingest(duration, true), &bursts, end);
-    assert_identical(&columnar, &legacy, "uniform ticks");
-}
-
-#[test]
-fn env_toggle_pins_the_per_record_path() {
-    // CSPROV_INGEST_PATH=per-record must select the legacy path — and the
-    // selection must be unobservable in analyzer state, which is exactly
-    // why the CI smoke step can diff the two repro runs byte-for-byte.
-    let duration = SimDuration::from_mins(2);
-    let end = SimTime::from_nanos(duration.as_nanos());
-    let bursts = random_bursts(31337, 120);
-    std::env::set_var(INGEST_PATH_ENV, "per-record");
-    let pinned = FullAnalysis::new(duration);
-    std::env::remove_var(INGEST_PATH_ENV);
-    let pinned = run_through(pinned, &bursts, end);
     let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
-    assert_identical(&columnar, &pinned, "env-pinned per-record");
+    let legacy = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
+    assert_identical(&columnar, &legacy, "uniform ticks");
 }
 
 #[test]
 fn seeded_world_run_is_identical_across_ingest_paths() {
     // The real producer: a seeded world run delivers genuine server-tick
-    // bursts. Forcing the fast path off must leave every artifact source
+    // bursts. Bypassing the fast path must leave every artifact source
     // byte-identical.
     let cfg = ScenarioConfig::new(2024, SimDuration::from_mins(3));
-    let run = |per_record: bool| {
-        let sink = Rc::new(RefCell::new(FullAnalysis::with_ingest(
-            cfg.duration,
-            per_record,
-        )));
+    fn run<S: TraceSink + 'static>(cfg: &ScenarioConfig, sink: S) -> S {
+        let sink = Rc::new(RefCell::new(sink));
         let _ = World::run(cfg.clone(), sink.clone());
         Rc::try_unwrap(sink)
             .map_err(|_| ())
             .expect("world must release the sink")
             .into_inner()
-    };
-    assert_identical(&run(false), &run(true), "seeded world run");
+    }
+    let columnar = run(&cfg, FullAnalysis::new(cfg.duration));
+    let legacy = run(&cfg, PerRecord(FullAnalysis::new(cfg.duration))).0;
+    assert_identical(&columnar, &legacy, "seeded world run");
 }
 
 #[test]
