@@ -35,7 +35,7 @@ use csprov_game::{GameMetrics, ScenarioConfig, WorldInstruments, PAPER_TRACE_SEC
 use csprov_net::LinkMetrics;
 use csprov_obs::{
     BroadcastBus, BusEvent, Journal, MetricsRegistry, Profile, ProfileSnapshot, ProgressReporter,
-    SeriesSampler, ShardHealthBoard, TraceEvent, SHARD_RUNNING,
+    SeriesSampler, ShardHealthBoard, TraceEvent,
 };
 use csprov_router::EngineConfig;
 use csprov_serve::{ServeHandle, ServeShared};
@@ -46,7 +46,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -122,7 +121,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--fleet-fail",     value: "SPEC",           scope: FLEET,       required: 0,            help: "fault plan SHARD:COUNT|SHARD:forever|SHARD:stall=MS,..." },
     Flag { name: "--shards",         value: "LO:HI",          scope: WORK,        required: WORK,         help: "the shard range this worker runs" },
     Flag { name: "--workers",        value: "W",              scope: COORD,       required: 0,            help: "worker processes to spawn (default 2)" },
-    Flag { name: "--fan-in",         value: "K",              scope: COORD,       required: 0,            help: "merge-tree fan-in, >= 2 (default 16)" },
     Flag { name: "--serve",          value: "ADDR",           scope: RUN | COORD, required: 0,            help: "stream the run live over HTTP (/metrics /events /series /status /report /healthz /shards /profile)" },
     Flag { name: "--serve-linger",   value: "S",              scope: RUN | COORD, required: 0,            help: "keep serving S seconds after the run finishes" },
     Flag { name: "--speed",          value: "N|max",          scope: RUN,         required: 0,            help: "replay speed multiplier (1 = wall clock) or max (default: unpaced)" },
@@ -200,7 +198,6 @@ struct Plan {
     fleet_fail: Vec<fleet::FailSpec>,
     shards: Option<ShardRange>,
     workers: usize,
-    fan_in: usize,
     serve: Option<String>,
     serve_linger_secs: u64,
     speed: Speed,
@@ -235,7 +232,6 @@ impl Plan {
             fleet_fail: Vec::new(),
             shards: None,
             workers: 2,
-            fan_in: 16,
             serve: None,
             serve_linger_secs: 0,
             speed: Speed::Max,
@@ -342,12 +338,6 @@ impl Plan {
                 )
             }
             "--workers" => self.workers = positive(flag, v)?,
-            "--fan-in" => {
-                self.fan_in = number(flag, v)?;
-                if self.fan_in < 2 {
-                    return Err("--fan-in must be >= 2".into());
-                }
-            }
             "--serve" => self.serve = Some(v.into()),
             "--serve-linger" => self.serve_linger_secs = number(flag, v)?,
             "--speed" => self.speed = v.parse()?,
@@ -1041,9 +1031,8 @@ impl Session<'_> {
             config.servers, config.minutes, config.seed
         );
         let t0 = Instant::now();
-        // The health board behind /shards: workers beat it in-process; a
-        // scanner thread folds in .hb sidecars so heartbeats written by
-        // other processes sharing the state dir are seen too.
+        // The health board behind /shards: every shard runs in this
+        // process and publishes its heartbeat records to it directly.
         let board = self.serve.as_ref().map(|shared| {
             let board = Arc::new(ShardHealthBoard::new(
                 config.servers,
@@ -1069,46 +1058,7 @@ impl Session<'_> {
                 serve_shard_done(shared, &config, &partial, state);
             }
         };
-        // Heartbeat sidecar scanner: while the fleet runs, fold any .hb
-        // files in the state dir into the board and narrate fresh beats
-        // onto the bus. Reads only; undecodable files are skipped.
-        let scan_stop = Arc::new(AtomicBool::new(false));
-        let scanner = match (board.clone(), &plan.fleet_state_dir, serve.clone()) {
-            (Some(board), Some(dir), Some(shared)) => {
-                let (dir, stop) = (PathBuf::from(dir), scan_stop.clone());
-                std::thread::Builder::new()
-                    .name("csprov-hb-scan".to_string())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            // Freshness comes from the sidecar's observed
-                            // mtime age on this clock, never the record's
-                            // embedded wall time: re-scanning an unchanged
-                            // file must not refresh it (that would mask a
-                            // stall), and a skewed writer clock must not
-                            // forge one.
-                            for o in fleet::persist::scan_heartbeats_observed(&dir) {
-                                board.apply_observed(&o.rec, o.age_ms);
-                                if o.rec.state == SHARD_RUNNING {
-                                    shared.bus().publish(BusEvent::Trace(TraceEvent {
-                                        sim_ns: o.rec.sim_ns,
-                                        kind: "fleet.shard.beat",
-                                        key: o.rec.shard,
-                                        value: o.rec.retries,
-                                    }));
-                                }
-                            }
-                            std::thread::sleep(Duration::from_millis(300));
-                        }
-                    })
-                    .ok()
-            }
-            _ => None,
-        };
         let result = fleet::run_fleet_full(&config, &persistence, Some(&on_event));
-        scan_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = scanner {
-            let _ = handle.join();
-        }
         let run = result.map_err(|e| format!("fleet run failed: {e}"))?;
         let secs = t0.elapsed().as_secs_f64();
         print!("\n{}", fleet_block(&run.report));
@@ -1309,15 +1259,14 @@ fn fleet_merge_command(args: &[String]) -> Result<(), String> {
     let (facility, shards) = fleet::persist::merge_state_files(&paths)
         .map_err(|e| format!("fleet merge failed: {e}"))?;
     let config = FleetConfig::new("fleet", 0, facility.shards, minutes.max(1));
-    let coverage = fleet::FleetCoverage::full(facility.shards);
-    let report = ProvisioningReport::build(&config, &facility, &shards, coverage)
+    let run = FleetRun::settle(&config, (facility, shards), Vec::new(), 0, 0)
         .map_err(|e| format!("fleet merge report failed: {e}"))?;
-    let text = fleet_block(&report);
+    let text = fleet_block(&run.report);
     std::fs::write(out, &text).map_err(|e| format!("could not write {out}: {e}"))?;
     eprintln!(
         "[merge] folded {} state files into {out} ({} packets)",
         paths.len(),
-        facility.counts.total_packets()
+        run.facility.counts.total_packets()
     );
     print!("{text}");
     Ok(())
@@ -1374,10 +1323,11 @@ impl fleet::coord::WorkerHandle for ProcessWorker {
 /// `repro fleet coordinate ...` — plans shard ranges, spawns `repro fleet
 /// work` children against the shared state directory, watches their
 /// heartbeat sidecars and exits, re-dispatches ranges of killed workers,
-/// folds the collected checkpoints through the hierarchical merge tree,
-/// and prints the same byte-identical report as an in-process `--fleet`
-/// run. With `--serve`, `/shards` and `/report` watch a fleet this
-/// process never executes — the board is fed purely from sidecars.
+/// folds the collected checkpoints as `fleet merge` does, and prints the
+/// same byte-identical report as an in-process `--fleet` run. With
+/// `--serve`, `/shards` and `/report` watch a fleet this process never
+/// executes — the board is fed from the workers' sidecars plus the
+/// coordinator's own records for the shards it collects or abandons.
 fn fleet_coordinate_command(plan: &Plan) -> Result<(), String> {
     let (Some(mut config), Some(dir)) = (plan.fleet_config(), &plan.fleet_state_dir) else {
         unreachable!("validated: fleet coordinate requires --fleet and --fleet-state-dir");
@@ -1406,8 +1356,8 @@ fn fleet_coordinate_command(plan: &Plan) -> Result<(), String> {
 
     eprintln!(
         "[coord] fleet: {} servers x {} simulated min (seed {}), {} workers, \
-         fan-in {}, state dir {dir}",
-        config.servers, config.minutes, config.seed, plan.workers, plan.fan_in,
+         state dir {dir}",
+        config.servers, config.minutes, config.seed, plan.workers,
     );
     let t0 = Instant::now();
     let exe = std::env::current_exe()
@@ -1466,7 +1416,6 @@ fn fleet_coordinate_command(plan: &Plan) -> Result<(), String> {
     };
     let coord_opts = fleet::coord::CoordOptions {
         workers: plan.workers,
-        fan_in: plan.fan_in,
         ..fleet::coord::CoordOptions::default()
     };
     let run = fleet::coord::coordinate(&config, dir.as_ref(), &coord_opts, launch, Some(&on_event))

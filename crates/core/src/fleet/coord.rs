@@ -5,11 +5,11 @@
 //! contract across *processes, and therefore machines*: a coordinator
 //! plans contiguous shard ranges, each worker — spawned as a child or
 //! launched by hand against a shared state directory — executes its range
-//! with [`run_worker_range`] (the exact per-shard engine the in-process
-//! fleet uses, checkpoints and heartbeat sidecars included), and the
-//! coordinator folds completed `csprov-state/1` checkpoints through a
-//! hierarchical merge tree into the same byte-identical
-//! [`ProvisioningReport`].
+//! with [`run_worker_range`] (the same shard-range executor the in-process
+//! fleet runs, checkpoints and heartbeat sidecars included), and the
+//! coordinator folds completed `csprov-state/1` checkpoints with the flat
+//! streaming fold of `repro fleet merge` into the same byte-identical
+//! [`ProvisioningReport`](super::ProvisioningReport).
 //!
 //! The protocol is deliberately *files, not sockets*:
 //! - a shard is **done** when `shard-NNNNN.state` exists and validates
@@ -31,24 +31,22 @@
 //! Determinism contract: shard seeds derive from the facility seed and
 //! shard index alone, so the partition into ranges, the number of
 //! workers, worker deaths, and re-dispatches change *nothing* about any
-//! shard's traffic. The merge tree is byte-identical to the flat fold
-//! (superposition is commutative and associative), so `coordinate` over N
-//! workers — including after a kill — renders the same report as one
-//! in-process `--fleet` run.
+//! shard's traffic. Superposition is commutative and associative, so
+//! folding the collected files in shard order gives the in-process fold's
+//! bytes, and `coordinate` over N workers — including after a kill —
+//! renders the same report as one in-process `--fleet` run.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use csprov_game::ScenarioConfig;
+use csprov_obs::{SHARD_DONE, SHARD_LOST};
 
 use super::persist;
 use super::{
-    FleetConfig, FleetError, FleetEvent, FleetRun, PersistSummary, ShardHealthBoard, ShardState,
+    FleetConfig, FleetError, FleetEvent, FleetPersistence, FleetRun, ShardBeacon, ShardState,
 };
-use crate::sweep::work_steal;
-use std::sync::Arc;
 
 /// A contiguous, half-open range of shard indices assigned to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,75 +154,20 @@ pub fn run_worker_range(
             config.servers
         )));
     }
-    std::fs::create_dir_all(state_dir)
-        .map_err(|e| FleetError::StateDir(format!("{}: {e}", state_dir.display())))?;
-    let emit = |ev: FleetEvent<'_>| {
-        if let Some(f) = on_event {
-            f(&ev);
-        }
-    };
-
-    // Workers always publish heartbeat sidecars: the coordinator (possibly
-    // on another machine) has no other liveness channel. Reuse a caller's
-    // board when present, otherwise attach a private one.
-    let mut config = config.clone();
-    if config.health.is_none() {
-        config.health = Some(Arc::new(ShardHealthBoard::new(
-            config.servers,
-            Duration::from_secs(3),
-        )));
-    }
-
-    let scan = persist::load_checkpoints(state_dir, &config)
-        .map_err(|e| FleetError::StateDir(e.to_string()))?;
-    for (path, err) in &scan.rejected {
-        let message = format!("{}: {err}", path.display());
-        emit(FleetEvent::ResumeInvalid { message: &message });
-    }
-    let mut summary = WorkerRangeSummary::default();
-    let horizon_ns = csprov_sim::SimDuration::from_mins(config.minutes).as_nanos();
-    for (&shard, state) in scan.states.range(range.shards()) {
-        summary.resumed.push(shard);
-        if let Some(board) = &config.health {
-            board.done(shard, horizon_ns);
-        }
-        emit(FleetEvent::ResumeLoaded { shard });
-        emit(FleetEvent::ShardDone {
-            state,
-            attempt: 0,
-            from_checkpoint: true,
-        });
-    }
-
-    let todo: Vec<(usize, ScenarioConfig)> = range
-        .shards()
-        .filter(|i| !scan.states.contains_key(i))
-        .map(|i| (i, config.scenario(i)))
-        .collect();
-    let outcomes = work_steal(&todo, |_, (shard, cfg)| {
-        super::run_one_shard(*shard, cfg, &config, Some(state_dir), on_event)
+    // Workers always resume-scan and always write heartbeat sidecars: the
+    // coordinator (possibly on another machine) has no other liveness
+    // channel.
+    let persistence = FleetPersistence::resume_from(state_dir);
+    let ran = super::run_range(config, range.shards(), &persistence, true, on_event)?;
+    let (retries, backoff_ns) = ran.retries();
+    let done = ran.outcomes.iter().filter(|o| o.state.is_some());
+    Ok(WorkerRangeSummary {
+        done: done.map(|o| o.shard).collect(),
+        resumed: ran.resumed.keys().copied().collect(),
+        lost: ran.lost(),
+        retries,
+        backoff_ns,
     })
-    .map_err(|p| {
-        let first = p.first();
-        FleetError::ShardFailed {
-            shard: todo
-                .get(first.index)
-                .map(|(s, _)| *s)
-                .unwrap_or(first.index),
-            message: first.message.clone(),
-        }
-    })?;
-
-    for outcome in &outcomes {
-        summary.retries += u64::from(outcome.retries);
-        summary.backoff_ns = summary.backoff_ns.saturating_add(outcome.backoff_ns);
-        if outcome.state.is_some() {
-            summary.done.push(outcome.shard);
-        } else {
-            summary.lost.push(outcome.shard);
-        }
-    }
-    Ok(summary)
 }
 
 /// A handle to a launched worker the coordinator can poll without
@@ -242,8 +185,6 @@ pub trait WorkerHandle {
 pub struct CoordOptions {
     /// Worker processes to plan ranges for (clamped to the shard count).
     pub workers: usize,
-    /// Merge-tree fan-in for the final fold (clamped to ≥ 2).
-    pub fan_in: usize,
     /// Poll-loop sleep between scans.
     pub poll_interval: Duration,
 }
@@ -252,7 +193,6 @@ impl Default for CoordOptions {
     fn default() -> Self {
         CoordOptions {
             workers: 2,
-            fan_in: 16,
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -324,16 +264,16 @@ struct Dispatch<H> {
 /// heartbeat sidecars and exits, re-dispatches ranges of dead workers
 /// under the fleet's [`RetryPolicy`](super::RetryPolicy) (attempts per
 /// range, including the first launch), and folds the collected
-/// checkpoints through a [`persist::merge_state_tree`] with fan-in
-/// [`CoordOptions::fan_in`] into the same byte-identical report the
-/// in-process fleet renders.
+/// checkpoints with [`persist::merge_state_files`] into the same
+/// byte-identical report the in-process fleet renders.
 ///
 /// `launch(worker, range)` starts one worker executing `range` against
 /// `state_dir` and returns a pollable handle — a spawned `repro fleet
 /// work` child in the CLI, a thread in tests. The coordinator never
-/// executes shards itself; `config.health`, when present, is fed purely
-/// from observed sidecars, which is what lets a serving plane watch a
-/// fleet this process is not executing.
+/// executes shards itself; `config.health`, when present, is fed from
+/// observed sidecars plus the coordinator's own done/lost records for the
+/// shards it collects or abandons, which is what lets a serving plane
+/// watch a fleet this process is not executing.
 pub fn coordinate<H, L>(
     config: &FleetConfig,
     state_dir: &Path,
@@ -363,6 +303,13 @@ where
     let mut rejected: BTreeSet<usize> = BTreeSet::new();
     let mut lost: BTreeSet<usize> = BTreeSet::new();
     let mut first_loss: Option<String> = None;
+    // Collected and abandoned shards reach the board as the same records
+    // a worker publishes; only workers write sidecars.
+    let mark = |shard: usize, state: u8| {
+        let sim_ns = if state == SHARD_DONE { horizon_ns } else { 0 };
+        ShardBeacon::new(config.health.clone(), None, shard, horizon_ns)
+            .publish(state, sim_ns, 0, 0, false);
+    };
 
     // One targeted collection pass: validate any newly-appeared checkpoint
     // for shards still outstanding. Atomic checkpoint writes mean a file
@@ -383,9 +330,7 @@ where
             }
             match persist::read_checkpoint(&path, shard, config) {
                 Ok(state) => {
-                    if let Some(b) = board {
-                        b.done(shard, horizon_ns);
-                    }
+                    mark(shard, SHARD_DONE);
                     emit(CoordEvent::ShardCollected {
                         shard,
                         state: &state,
@@ -451,9 +396,7 @@ where
         }
         for &shard in shards {
             lost.insert(shard);
-            if let Some(b) = board {
-                b.lost(shard);
-            }
+            mark(shard, SHARD_LOST);
         }
         if first_loss.is_none() {
             *first_loss = Some(message.to_string());
@@ -506,7 +449,12 @@ where
                 detail: &detail,
             });
             // The worker's final checkpoints landed before it exited;
-            // collect them before judging the range incomplete.
+            // collect them before judging the range incomplete. A shard
+            // rejected earlier may since have been recomputed over its
+            // invalid file, so its file is validated again.
+            for shard in d.range.shards() {
+                rejected.remove(&shard);
+            }
             collect(d.range, &mut collected, &mut rejected, &lost);
             let incomplete: Vec<usize> = d
                 .range
@@ -569,14 +517,13 @@ where
         });
     }
 
-    // Final fold: the hierarchical merge tree over every collected
-    // checkpoint, byte-identical to the in-process streaming fold.
+    // Final fold: every collected checkpoint streamed through one
+    // accumulator, byte-identical to the in-process fold.
     let paths: Vec<PathBuf> = collected.values().cloned().collect();
-    let (facility, shards) =
-        persist::merge_state_tree(&paths, opts.fan_in).map_err(|e| match e {
-            persist::MergeFilesError::Merge(err) => err,
-            other => FleetError::StateDir(other.to_string()),
-        })?;
+    let fold = persist::merge_state_files(&paths).map_err(|e| match e {
+        persist::MergeFilesError::Merge(err) => err,
+        other => FleetError::StateDir(other.to_string()),
+    })?;
 
     // Retry accounting travels in the final sidecar records (a DONE/LOST
     // record carries the retries its run consumed); the backoff those
@@ -597,25 +544,15 @@ where
         }
     }
 
-    let coverage = super::FleetCoverage {
-        configured: config.servers,
-        merged: shards.len(),
-        lost: lost.into_iter().collect(),
+    let mut run = FleetRun::settle(
+        config,
+        fold,
+        lost.into_iter().collect(),
         retries,
         backoff_ns,
-    };
-    let report = super::ProvisioningReport::build(config, &facility, &shards, coverage)?;
-    let persist_summary = PersistSummary {
-        checkpoints_written: paths.len() as u64,
-        ..PersistSummary::default()
-    };
-    Ok(FleetRun {
-        facility,
-        shards,
-        report,
-        persist: persist_summary,
-        profile: None,
-    })
+    )?;
+    run.persist.checkpoints_written = paths.len() as u64;
+    Ok(run)
 }
 
 #[cfg(test)]

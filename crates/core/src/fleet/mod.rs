@@ -48,7 +48,7 @@ use csprov_sim::{Pacer, RngStream, SimDuration, Speed};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -605,42 +605,6 @@ impl FleetMerger {
         Ok(())
     }
 
-    /// Absorbs another merger: the fold of states A++B, given the folds
-    /// of A and of B. Every ingredient is commutative and associative —
-    /// integer superposition for bins/counts/sizes, running-min truncation
-    /// for the player sums (equivalent to truncating to the global minimum
-    /// up front), and concatenation for the per-shard scalars settled in
-    /// [`FleetMerger::finish`] — so absorbing partial folds in any tree
-    /// shape is byte-identical to one streaming fold over all states.
-    /// This is what lets the coordinator fold each worker range as it
-    /// completes and combine the partials hierarchically.
-    pub fn absorb(&mut self, other: FleetMerger) -> Result<(), FleetError> {
-        match (self.acc.as_mut(), other.acc) {
-            (None, maybe) => {
-                self.acc = maybe;
-                self.players = other.players;
-            }
-            (Some(_), None) => {}
-            (Some(acc), Some(theirs)) => {
-                acc.counts.merge(&theirs.counts);
-                acc.per_minute.merge_superpose(&theirs.per_minute)?;
-                acc.per_minute_in.merge_superpose(&theirs.per_minute_in)?;
-                acc.per_minute_out.merge_superpose(&theirs.per_minute_out)?;
-                acc.sizes.merge(&theirs.sizes)?;
-                acc.sessions.0 += theirs.sessions.0;
-                acc.sessions.1 += theirs.sessions.1;
-                let keep = self.players.len().min(other.players.len());
-                self.players.truncate(keep);
-                for (agg, add) in self.players.iter_mut().zip(&other.players) {
-                    *agg += add;
-                }
-            }
-        }
-        self.bin_lens.extend(other.bin_lens);
-        self.stats.extend(other.stats);
-        Ok(())
-    }
-
     /// Settles the fold: the aggregate plus per-shard rows in canonical
     /// shard order. [`FleetError::NoServers`] if nothing was pushed.
     pub fn finish(mut self) -> Result<(FacilityAnalysis, Vec<ShardStats>), FleetError> {
@@ -979,6 +943,36 @@ pub struct FleetRun {
 }
 
 impl FleetRun {
+    /// The step every fleet path ends with — the in-process fleet, the
+    /// coordinator, interim reports and `repro fleet merge`: a settled fold
+    /// becomes a run with its provisioning report. Coverage counts the
+    /// fold's shards against `config.servers`; `lost`, `retries` and
+    /// `backoff_ns` are the shard-plane recovery the run charged (none for
+    /// a fold of finished shards or checkpoint files).
+    pub fn settle(
+        config: &FleetConfig,
+        (facility, shards): (FacilityAnalysis, Vec<ShardStats>),
+        lost: Vec<usize>,
+        retries: u64,
+        backoff_ns: u64,
+    ) -> Result<FleetRun, FleetError> {
+        let coverage = FleetCoverage {
+            configured: config.servers,
+            merged: shards.len(),
+            lost,
+            retries,
+            backoff_ns,
+        };
+        let report = ProvisioningReport::build(config, &facility, &shards, coverage)?;
+        Ok(FleetRun {
+            facility,
+            shards,
+            report,
+            persist: PersistSummary::default(),
+            profile: None,
+        })
+    }
+
     /// Exports fleet aggregates as `fleet.*` metrics.
     pub fn export_metrics(&self, registry: &MetricsRegistry) {
         registry
@@ -1075,6 +1069,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, FleetError> {
 /// fatal: the surviving shards merge and the report carries an explicit
 /// coverage block. Only a fleet with **no** survivors fails, with
 /// [`FleetError::AllShardsLost`].
+///
+/// Heartbeat sidecars are written only when a health board is attached
+/// (`repro --fleet --serve`); a `fleet work` worker always writes them.
 pub fn run_fleet_full(
     config: &FleetConfig,
     persistence: &FleetPersistence,
@@ -1083,13 +1080,88 @@ pub fn run_fleet_full(
     if config.servers == 0 {
         return Err(FleetError::NoServers);
     }
+    let sidecars = config.health.is_some();
+    let ran = run_range(config, 0..config.servers, persistence, sidecars, on_event)?;
+
+    let coord_profile = config.profile.then(Profile::new);
+    let mut merger = FleetMerger::new();
+    {
+        let _merge_scope = coord_profile.as_ref().map(|p| p.enter("fleet.merge"));
+        let ran_states = ran.outcomes.iter().filter_map(|o| o.state.as_ref());
+        for state in ran.resumed.values().chain(ran_states) {
+            merger.push(state)?;
+        }
+    }
+    let mut profile = coord_profile.as_ref().map(|p| p.snapshot());
+    if let Some(total) = profile.as_mut() {
+        for snap in ran.outcomes.iter().filter_map(|o| o.profile.as_ref()) {
+            total.absorb(snap);
+        }
+    }
+    if merger.merged() == 0 {
+        let first = ran.outcomes.iter().find(|o| o.state.is_none());
+        return Err(FleetError::AllShardsLost {
+            configured: config.servers,
+            message: first.map(|o| o.message.clone()).unwrap_or_default(),
+        });
+    }
+    let (retries, backoff_ns) = ran.retries();
+    let mut run = FleetRun::settle(config, merger.finish()?, ran.lost(), retries, backoff_ns)?;
+    let count = |pick: fn(&ShardOutcome) -> bool| ran.outcomes.iter().filter(|o| pick(o)).count();
+    run.persist = PersistSummary {
+        checkpoints_written: count(|o| o.checkpoint_written) as u64,
+        checkpoint_failures: count(|o| o.checkpoint_failed) as u64,
+        resumed: ran.resumed.len() as u64,
+        invalid_checkpoints: ran.invalid,
+    };
+    run.profile = profile;
+    Ok(run)
+}
+
+/// What [`run_range`] did: the shards it restored and the shards it ran.
+#[derive(Default)]
+struct RangeRun {
+    /// Shards loaded from valid checkpoints, in shard order.
+    resumed: BTreeMap<usize, ShardState>,
+    /// One outcome per shard that ran, in shard order.
+    outcomes: Vec<ShardOutcome>,
+    /// State files the resume scan rejected (their shards ran instead).
+    invalid: u64,
+}
+
+impl RangeRun {
+    /// Shards lost after exhausting their retries, ascending.
+    fn lost(&self) -> Vec<usize> {
+        let lost = self.outcomes.iter().filter(|o| o.state.is_none());
+        lost.map(|o| o.shard).collect()
+    }
+
+    /// Retries across the range and the simulated backoff they charged.
+    fn retries(&self) -> (u64, u64) {
+        self.outcomes.iter().fold((0, 0), |(n, ns), o| {
+            (n + u64::from(o.retries), ns.saturating_add(o.backoff_ns))
+        })
+    }
+}
+
+/// The one shard-range executor under both the in-process fleet (the range
+/// `0..servers`) and a `fleet work` worker (its assigned range): creates
+/// the state dir, resume-scans it when asked, then runs every shard it did
+/// not restore across the work-stealing pool through [`run_one_shard`].
+/// With `sidecars`, each running shard also writes its heartbeat records
+/// into the state dir.
+fn run_range(
+    config: &FleetConfig,
+    shards: std::ops::Range<usize>,
+    persistence: &FleetPersistence,
+    sidecars: bool,
+    on_event: Option<&(dyn Fn(&FleetEvent<'_>) + Sync)>,
+) -> Result<RangeRun, FleetError> {
     let emit = |ev: FleetEvent<'_>| {
         if let Some(f) = on_event {
             f(&ev);
         }
     };
-
-    let mut summary = PersistSummary::default();
     let state_dir = persistence.state_dir.as_deref();
     if let Some(dir) = state_dir {
         std::fs::create_dir_all(dir)
@@ -1098,28 +1170,23 @@ pub fn run_fleet_full(
 
     // Resume: load valid checkpoints up front; rejected files are surfaced
     // as events, counted, and recomputed like missing ones.
-    let mut loaded: BTreeMap<usize, ShardState> = BTreeMap::new();
-    if persistence.resume {
-        if let Some(dir) = state_dir {
-            let scan = persist::load_checkpoints(dir, config)
-                .map_err(|e| FleetError::StateDir(e.to_string()))?;
-            for (path, err) in &scan.rejected {
-                summary.invalid_checkpoints += 1;
-                let message = format!("{}: {err}", path.display());
-                emit(FleetEvent::ResumeInvalid { message: &message });
-            }
-            for (shard, state) in scan.states {
-                summary.resumed += 1;
-                emit(FleetEvent::ResumeLoaded { shard });
-                loaded.insert(shard, state);
-            }
+    let mut ran = RangeRun::default();
+    if let (true, Some(dir)) = (persistence.resume, state_dir) {
+        let scan = persist::load_checkpoints(dir, config)
+            .map_err(|e| FleetError::StateDir(e.to_string()))?;
+        for (path, err) in &scan.rejected {
+            ran.invalid += 1;
+            let message = format!("{}: {err}", path.display());
+            emit(FleetEvent::ResumeInvalid { message: &message });
         }
+        ran.resumed = scan.states;
+        ran.resumed.retain(|shard, _| shards.contains(shard));
     }
     let horizon_ns = SimDuration::from_mins(config.minutes).as_nanos();
-    for state in loaded.values() {
-        if let Some(board) = &config.health {
-            board.done(state.shard, horizon_ns);
-        }
+    for (&shard, state) in &ran.resumed {
+        emit(FleetEvent::ResumeLoaded { shard });
+        ShardBeacon::new(config.health.clone(), None, shard, horizon_ns)
+            .publish(SHARD_DONE, horizon_ns, 0, 0, false);
         emit(FleetEvent::ShardDone {
             state,
             attempt: 0,
@@ -1127,13 +1194,13 @@ pub fn run_fleet_full(
         });
     }
 
-    let todo: Vec<(usize, ScenarioConfig)> = (0..config.servers)
-        .filter(|i| !loaded.contains_key(i))
+    let todo: Vec<(usize, ScenarioConfig)> = shards
+        .filter(|i| !ran.resumed.contains_key(i))
         .map(|i| (i, config.scenario(i)))
         .collect();
-
-    let outcomes = work_steal(&todo, |_, (shard, cfg)| {
-        run_one_shard(*shard, cfg, config, state_dir, on_event)
+    let sidecar_dir = state_dir.filter(|_| sidecars);
+    ran.outcomes = work_steal(&todo, |_, (shard, cfg)| {
+        run_one_shard(*shard, cfg, config, state_dir, sidecar_dir, on_event)
     })
     .map_err(|p| {
         // Unreachable in practice: run_one_shard contains panics itself.
@@ -1146,64 +1213,7 @@ pub fn run_fleet_full(
             message: first.message.clone(),
         }
     })?;
-
-    let coord_profile = config.profile.then(Profile::new);
-    let mut merger = FleetMerger::new();
-    {
-        let _merge_scope = coord_profile.as_ref().map(|p| p.enter("fleet.merge"));
-        for state in loaded.values() {
-            merger.push(state)?;
-        }
-        for outcome in &outcomes {
-            if let Some(state) = &outcome.state {
-                merger.push(state)?;
-            }
-        }
-    }
-    let mut retries = 0u64;
-    let mut backoff_ns = 0u64;
-    let mut lost: Vec<usize> = Vec::new();
-    let mut first_loss: Option<String> = None;
-    let mut fleet_profile = coord_profile.as_ref().map(|p| p.snapshot());
-    for outcome in &outcomes {
-        retries += u64::from(outcome.retries);
-        backoff_ns = backoff_ns.saturating_add(outcome.backoff_ns);
-        summary.checkpoints_written += u64::from(outcome.checkpoint_written);
-        summary.checkpoint_failures += u64::from(outcome.checkpoint_failed);
-        if let (Some(total), Some(snap)) = (fleet_profile.as_mut(), outcome.profile.as_ref()) {
-            total.absorb(snap);
-        }
-        if outcome.state.is_none() {
-            // `todo` is built in ascending shard order and work_steal
-            // returns outcomes in input order, so `lost` is ascending.
-            lost.push(outcome.shard);
-            if first_loss.is_none() {
-                first_loss = Some(outcome.message.clone());
-            }
-        }
-    }
-    if merger.merged() == 0 {
-        return Err(FleetError::AllShardsLost {
-            configured: config.servers,
-            message: first_loss.unwrap_or_default(),
-        });
-    }
-    let coverage = FleetCoverage {
-        configured: config.servers,
-        merged: merger.merged(),
-        lost,
-        retries,
-        backoff_ns,
-    };
-    let (facility, shards) = merger.finish()?;
-    let report = ProvisioningReport::build(config, &facility, &shards, coverage)?;
-    Ok(FleetRun {
-        facility,
-        shards,
-        report,
-        persist: summary,
-        profile: fleet_profile,
-    })
+    Ok(ran)
 }
 
 /// One shard's outcome after the retry loop.
@@ -1220,7 +1230,7 @@ struct ShardOutcome {
     profile: Option<ProfileSnapshot>,
 }
 
-/// Wall-clock interval between heartbeat sidecar rewrites. Beats on the
+/// Wall-clock interval between heartbeat sidecar rewrites. Records on the
 /// in-process board are much cheaper (a few atomic stores) and ride every
 /// observer callback; only the file write is rate-limited.
 const HEARTBEAT_FILE_INTERVAL: Duration = Duration::from_millis(500);
@@ -1230,50 +1240,87 @@ const HEARTBEAT_FILE_INTERVAL: Duration = Duration::from_millis(500);
 /// telemetry stride so attaching health costs one closure call per stride.
 const HEARTBEAT_STRIDE: u64 = 8192;
 
-/// Builds the observer a worker attaches when a health board is present:
-/// every stride it publishes the shard's sim-time watermark to the board,
-/// and (when a state directory exists) rewrites the `shard-NNNNN.hb`
-/// sidecar at most every [`HEARTBEAT_FILE_INTERVAL`].
-fn heartbeat_observer(
+/// One shard's heartbeat channel. Every lifecycle step — start, beat,
+/// retry, done, lost — is one [`HeartbeatRecord`], built only here. The
+/// record is applied to the health board (when one is attached) and, for
+/// the steps that leave a trace on disk, written as the shard's
+/// `shard-NNNNN.hb` sidecar (when a sidecar dir is set). The coordinator
+/// marks collected and lost shards through the same records, so the board
+/// has a single input.
+#[derive(Clone)]
+pub(crate) struct ShardBeacon {
+    board: Option<Arc<ShardHealthBoard>>,
+    sidecar_dir: Option<PathBuf>,
     shard: usize,
     horizon_ns: u64,
-    retries: u32,
-    board: Arc<ShardHealthBoard>,
-    sidecar_dir: Option<PathBuf>,
     started: Instant,
-) -> csprov_sim::Observer {
-    let mut last_write: Option<Instant> = None;
-    Box::new(move |sim: &csprov_sim::Simulator| {
-        let sim_ns = sim.now().as_nanos();
-        board.beat(shard, sim_ns);
-        let Some(dir) = &sidecar_dir else { return };
-        let now = Instant::now();
-        if last_write.is_some_and(|t| now.duration_since(t) < HEARTBEAT_FILE_INTERVAL) {
-            return;
-        }
-        last_write = Some(now);
-        let rec = HeartbeatRecord {
-            shard: shard as u64,
-            state: SHARD_RUNNING,
-            sim_ns,
-            horizon_ns,
-            retries: u64::from(retries),
-            checkpoints: 0,
-            wall_ms: started.elapsed().as_millis() as u64,
-            unix_ms: unix_ms(),
-        };
-        // Best-effort: a failed sidecar write only means a stale beat,
-        // which is precisely what the watchdog exists to notice.
-        let _ = persist::write_heartbeat(dir, &rec);
-    })
 }
 
-/// Writes a lifecycle (running/done/lost) heartbeat sidecar for a shard,
-/// stamping the wall clocks at write time.
-fn write_final_heartbeat(dir: &std::path::Path, started: Instant, mut rec: HeartbeatRecord) {
-    rec.wall_ms = started.elapsed().as_millis() as u64;
-    rec.unix_ms = unix_ms();
-    let _ = persist::write_heartbeat(dir, &rec);
+impl ShardBeacon {
+    pub(crate) fn new(
+        board: Option<Arc<ShardHealthBoard>>,
+        sidecar_dir: Option<&Path>,
+        shard: usize,
+        horizon_ns: u64,
+    ) -> Self {
+        ShardBeacon {
+            board,
+            sidecar_dir: sidecar_dir.map(Path::to_path_buf),
+            shard,
+            horizon_ns,
+            started: Instant::now(),
+        }
+    }
+
+    /// Publishes one lifecycle record, stamping the wall clocks now: to the
+    /// board always, and to the sidecar when `sidecar` is set. A failed
+    /// sidecar write only means a stale beat, which is precisely what the
+    /// watchdog exists to notice.
+    pub(crate) fn publish(
+        &self,
+        state: u8,
+        sim_ns: u64,
+        retries: u32,
+        checkpoints: u64,
+        sidecar: bool,
+    ) {
+        let rec = HeartbeatRecord {
+            shard: self.shard as u64,
+            state,
+            sim_ns,
+            horizon_ns: self.horizon_ns,
+            retries: u64::from(retries),
+            checkpoints,
+            wall_ms: self.started.elapsed().as_millis() as u64,
+            unix_ms: unix_ms(),
+        };
+        if let Some(board) = &self.board {
+            board.apply(&rec);
+        }
+        if let (true, Some(dir)) = (sidecar, &self.sidecar_dir) {
+            let _ = persist::write_heartbeat(dir, &rec);
+        }
+    }
+
+    /// The kernel observer a running attempt carries when anyone listens:
+    /// every stride it publishes the shard's sim-time watermark, rewriting
+    /// the sidecar at most every [`HEARTBEAT_FILE_INTERVAL`].
+    fn observer(&self, retries: u32) -> Option<(u64, csprov_sim::Observer)> {
+        if self.board.is_none() && self.sidecar_dir.is_none() {
+            return None;
+        }
+        let beacon = self.clone();
+        let mut last_write: Option<Instant> = None;
+        let observer = move |sim: &csprov_sim::Simulator| {
+            let now = Instant::now();
+            let due = !last_write.is_some_and(|t| now.duration_since(t) < HEARTBEAT_FILE_INTERVAL);
+            if due {
+                last_write = Some(now);
+            }
+            beacon.publish(SHARD_RUNNING, sim.now().as_nanos(), retries, 0, due);
+        };
+        Some((HEARTBEAT_STRIDE, Box::new(observer)))
+    }
 }
 
 /// Runs one shard with retries. Never panics: injected faults are typed,
@@ -1283,7 +1330,8 @@ fn run_one_shard(
     shard: usize,
     cfg: &ScenarioConfig,
     config: &FleetConfig,
-    state_dir: Option<&std::path::Path>,
+    state_dir: Option<&Path>,
+    sidecar_dir: Option<&Path>,
     on_event: Option<&(dyn Fn(&FleetEvent<'_>) + Sync)>,
 ) -> ShardOutcome {
     let emit = |ev: FleetEvent<'_>| {
@@ -1291,33 +1339,14 @@ fn run_one_shard(
             f(&ev);
         }
     };
-    let started = Instant::now();
     let horizon_ns = cfg.duration.as_nanos();
     let attempts = config.retry.attempts.max(1);
     let plan = config.fail_plan.iter().find(|f| f.shard == shard);
     let injected = plan.map_or(0, |f| f.failures);
     let stall_ms = plan.map_or(0, |f| f.stall_ms);
     let profile = config.profile.then(Profile::new);
-    let sidecar_dir = state_dir.map(std::path::Path::to_path_buf);
-    if let Some(board) = &config.health {
-        board.start(shard, horizon_ns);
-        if let Some(dir) = &sidecar_dir {
-            write_final_heartbeat(
-                dir,
-                started,
-                HeartbeatRecord {
-                    shard: shard as u64,
-                    state: SHARD_RUNNING,
-                    sim_ns: 0,
-                    horizon_ns,
-                    retries: 0,
-                    checkpoints: 0,
-                    wall_ms: 0,
-                    unix_ms: 0,
-                },
-            );
-        }
-    }
+    let beacon = ShardBeacon::new(config.health.clone(), sidecar_dir, shard, horizon_ns);
+    beacon.publish(SHARD_RUNNING, 0, 0, 0, true);
     let mut retries = 0u32;
     let mut backoff_ns = 0u64;
     let mut last_message = String::new();
@@ -1326,28 +1355,14 @@ fn run_one_shard(
             // Beat once so the board sees a *running* shard, then go
             // silent for the stall: exactly the signature a wedged worker
             // leaves behind, without touching what the shard computes.
-            if let Some(board) = &config.health {
-                board.beat(shard, 0);
-            }
+            beacon.publish(SHARD_RUNNING, 0, retries, 0, false);
             std::thread::sleep(Duration::from_millis(stall_ms));
         }
         let result: Result<ShardState, String> = if attempt <= injected {
             Err(format!("injected fault (attempt {attempt} of {attempts})"))
         } else {
             let speed = config.speed;
-            let observer = config.health.as_ref().map(|board| {
-                (
-                    HEARTBEAT_STRIDE,
-                    heartbeat_observer(
-                        shard,
-                        horizon_ns,
-                        retries,
-                        board.clone(),
-                        sidecar_dir.clone(),
-                        started,
-                    ),
-                )
-            });
+            let observer = beacon.observer(retries);
             let worker_profile = profile.clone();
             catch_unwind(AssertUnwindSafe(|| {
                 let run = {
@@ -1390,28 +1405,7 @@ fn run_one_shard(
                         }
                     }
                 }
-                if let Some(board) = &config.health {
-                    if written {
-                        board.checkpoint(shard);
-                    }
-                    board.done(shard, horizon_ns);
-                    if let Some(dir) = &sidecar_dir {
-                        write_final_heartbeat(
-                            dir,
-                            started,
-                            HeartbeatRecord {
-                                shard: shard as u64,
-                                state: SHARD_DONE,
-                                sim_ns: horizon_ns,
-                                horizon_ns,
-                                retries: u64::from(retries),
-                                checkpoints: u64::from(written),
-                                wall_ms: 0,
-                                unix_ms: 0,
-                            },
-                        );
-                    }
-                }
+                beacon.publish(SHARD_DONE, horizon_ns, retries, u64::from(written), true);
                 emit(FleetEvent::ShardDone {
                     state: &state,
                     attempt,
@@ -1433,9 +1427,7 @@ fn run_one_shard(
                     let delay = config.retry.backoff_for(attempt);
                     retries += 1;
                     backoff_ns = backoff_ns.saturating_add(delay);
-                    if let Some(board) = &config.health {
-                        board.retry(shard);
-                    }
+                    beacon.publish(SHARD_RUNNING, 0, retries, 0, false);
                     emit(FleetEvent::ShardRetry {
                         shard,
                         attempt,
@@ -1443,25 +1435,7 @@ fn run_one_shard(
                         message: &message,
                     });
                 } else {
-                    if let Some(board) = &config.health {
-                        board.lost(shard);
-                        if let Some(dir) = &sidecar_dir {
-                            write_final_heartbeat(
-                                dir,
-                                started,
-                                HeartbeatRecord {
-                                    shard: shard as u64,
-                                    state: SHARD_LOST,
-                                    sim_ns: 0,
-                                    horizon_ns,
-                                    retries: u64::from(retries),
-                                    checkpoints: 0,
-                                    wall_ms: 0,
-                                    unix_ms: 0,
-                                },
-                            );
-                        }
-                    }
+                    beacon.publish(SHARD_LOST, 0, retries, 0, true);
                     emit(FleetEvent::ShardLost {
                         shard,
                         attempts,
@@ -1496,11 +1470,9 @@ pub fn interim_report(
     for s in states {
         merger.push(s)?;
     }
-    let coverage = FleetCoverage::full(merger.merged());
-    let (facility, shards) = merger.finish()?;
     let mut partial = config.clone();
-    partial.servers = facility.shards;
-    ProvisioningReport::build(&partial, &facility, &shards, coverage)
+    partial.servers = merger.merged();
+    Ok(FleetRun::settle(&partial, merger.finish()?, Vec::new(), 0, 0)?.report)
 }
 
 #[cfg(test)]
@@ -1859,6 +1831,52 @@ mod tests {
         let json = board.render_json();
         assert!(json.contains("\"done\":3"), "{json}");
         assert!(json.contains("\"lost\":0"), "{json}");
+    }
+
+    #[test]
+    fn in_process_board_agrees_with_a_board_fed_from_the_sidecars() {
+        // The in-process board and the sidecars are fed by the same
+        // records, so a fresh board replaying only the sidecars must land
+        // every shard in the same place — retried shard included.
+        use csprov_obs::Json;
+        let dir = std::env::temp_dir().join(format!("csprov-fleet-agree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = FleetConfig::new("agree", 73, 3, 1);
+        cfg.fail_plan = vec![FailSpec {
+            shard: 1,
+            failures: 1,
+            stall_ms: 0,
+        }];
+        let board = Arc::new(ShardHealthBoard::new(3, Duration::from_secs(30)));
+        cfg.health = Some(board.clone());
+        run_fleet_full(&cfg, &FleetPersistence::checkpoint_to(&dir), None).unwrap();
+
+        let replay = ShardHealthBoard::new(3, Duration::from_secs(30));
+        for o in persist::scan_heartbeats_observed(&dir) {
+            replay.apply_observed(&o.rec, o.age_ms);
+        }
+        let view = |json: String| -> Vec<(String, f64, f64, f64)> {
+            let doc = Json::parse(&json).expect("valid JSON");
+            let shards = doc.get("shards").and_then(Json::as_arr).expect("shards");
+            let num = |s: &Json, key: &str| s.get(key).and_then(Json::as_f64).unwrap();
+            shards
+                .iter()
+                .map(|s| {
+                    let state = s.get("state").and_then(Json::as_str).unwrap();
+                    let (retries, checkpoints) = (num(s, "retries"), num(s, "checkpoints"));
+                    (state.to_string(), retries, checkpoints, num(s, "sim_ns"))
+                })
+                .collect()
+        };
+        let in_process = view(board.render_json());
+        assert_eq!(in_process, view(replay.render_json()));
+        let horizon = SimDuration::from_mins(1).as_nanos() as f64;
+        for (shard, (state, retries, checkpoints, sim_ns)) in in_process.iter().enumerate() {
+            assert_eq!(state, "done");
+            assert_eq!(*retries, f64::from(u8::from(shard == 1)));
+            assert_eq!((*checkpoints, *sim_ns), (1.0, horizon));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

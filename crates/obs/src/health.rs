@@ -1,12 +1,14 @@
 //! Fleet shard health: a lock-free heartbeat board plus the wall-clock
 //! watchdog that turns beats into `stalled`/`degraded` verdicts.
 //!
-//! Each fleet worker — in-process on a work-stealing thread, or a
-//! separate process writing `csprov-state/1` heartbeat sidecars —
-//! reports into one [`ShardHealthBoard`] slot: run state, sim-time
-//! watermark, retries, checkpoints, and the wall time of its last beat.
-//! The board is all atomics, so worker threads beat without locking and
-//! HTTP handler threads render `/shards` without blocking anyone.
+//! Each fleet worker reports into one [`ShardHealthBoard`] slot — run
+//! state, sim-time watermark, retries, checkpoints, and the wall time of
+//! its last beat — through one input: [`HeartbeatRecord`]s. An in-process
+//! worker applies its records directly; a coordinator applies the records
+//! other processes left in `csprov-state/1` heartbeat sidecars, aged by
+//! the sidecar's mtime. The board is all atomics, so worker threads beat
+//! without locking and HTTP handler threads render `/shards` without
+//! blocking anyone.
 //!
 //! Verdicts are computed on demand at render time, not pushed: a stalled
 //! worker by definition cannot push its own bad news, so the watchdog
@@ -27,8 +29,9 @@ pub const SHARD_DONE: u8 = 2;
 /// Shard exhausted its retry budget and was abandoned.
 pub const SHARD_LOST: u8 = 3;
 
-/// One decoded heartbeat, as carried by the `csprov-state/1` sidecar
-/// files out-of-process workers write (see `csprov::fleet::persist`).
+/// One heartbeat: a shard lifecycle step (start, beat, retry, done, lost)
+/// as applied to the board and as carried by the `csprov-state/1` sidecar
+/// files workers write (see `csprov::fleet::persist`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeartbeatRecord {
     /// Shard index.
@@ -46,7 +49,7 @@ pub struct HeartbeatRecord {
     /// Wall ms since the worker started this shard.
     pub wall_ms: u64,
     /// Unix wall-clock ms when the beat was written; orders beats across
-    /// processes and lets the scanner estimate staleness.
+    /// processes and lets an observer estimate clock skew.
     pub unix_ms: u64,
 }
 
@@ -115,7 +118,7 @@ impl Slot {
 }
 
 /// Per-shard health slots plus the watchdog deadline. `Send + Sync`;
-/// share it as an `Arc` between the fleet executor, the sidecar scanner,
+/// share it as an `Arc` between the fleet executor (or the coordinator)
 /// and the serving plane.
 pub struct ShardHealthBoard {
     slots: Vec<Slot>,
@@ -170,63 +173,6 @@ impl ShardHealthBoard {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Marks `shard` running with `horizon_ns` and beats it.
-    pub fn start(&self, shard: usize, horizon_ns: u64) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.claim(unix_ms(), SHARD_RUNNING);
-            slot.horizon_ns.fetch_max(horizon_ns, Ordering::Relaxed);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// Advances `shard`'s sim-time watermark and refreshes its beat.
-    pub fn beat(&self, shard: usize, sim_ns: u64) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.sim_ns.fetch_max(sim_ns, Ordering::Relaxed);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// Counts a retry (the shard stays/returns to running).
-    pub fn retry(&self, shard: usize) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.retries.fetch_add(1, Ordering::Relaxed);
-            slot.claim(unix_ms(), SHARD_RUNNING);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// Counts a written checkpoint.
-    pub fn checkpoint(&self, shard: usize) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.checkpoints.fetch_add(1, Ordering::Relaxed);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// Marks `shard` done at `sim_ns`.
-    pub fn done(&self, shard: usize, sim_ns: u64) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.sim_ns.fetch_max(sim_ns, Ordering::Relaxed);
-            slot.claim(unix_ms(), SHARD_DONE);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
-    /// Marks `shard` lost (retry budget exhausted).
-    pub fn lost(&self, shard: usize) {
-        if let Some(slot) = self.slots.get(shard) {
-            slot.claim(unix_ms(), SHARD_LOST);
-            slot.last_beat_ms
-                .fetch_max(self.now_ms(), Ordering::Relaxed);
-        }
-    }
-
     /// Returns `shard` to `pending` so a re-dispatched range can report
     /// fresh state. Terminal stickiness is authority for *peers*; the
     /// coordinator that owns re-dispatch resets the ordering word outright
@@ -273,10 +219,10 @@ impl ShardHealthBoard {
         }
     }
 
-    /// Applies a heartbeat observed just now (age 0). Single-machine
-    /// callers that scan sidecars they share a clock with can use this;
-    /// cross-process observers should pass the sidecar's mtime age to
-    /// [`ShardHealthBoard::apply_observed`].
+    /// Applies a heartbeat observed just now (age 0): the path for a
+    /// record published in this process, as an in-process worker or the
+    /// coordinator does. Records read back from sidecar files should pass
+    /// the sidecar's mtime age to [`ShardHealthBoard::apply_observed`].
     pub fn apply(&self, rec: &HeartbeatRecord) {
         self.apply_observed(rec, 0);
     }
@@ -464,14 +410,29 @@ mod tests {
         ShardHealthBoard::new(shards, Duration::from_millis(watchdog_ms))
     }
 
+    /// One lifecycle record stamped now, as a worker publishes it.
+    fn rec(shard: u64, state: u8, sim_ns: u64, horizon_ns: u64, retries: u64) -> HeartbeatRecord {
+        HeartbeatRecord {
+            shard,
+            state,
+            sim_ns,
+            horizon_ns,
+            retries,
+            checkpoints: 0,
+            wall_ms: 0,
+            unix_ms: unix_ms(),
+        }
+    }
+
     #[test]
     fn silent_running_shard_is_flagged_stalled_after_the_watchdog() {
         let b = board(2, 20);
-        b.start(0, 1_000);
-        b.start(1, 1_000);
-        b.beat(0, 100);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 1_000, 0));
+        b.apply(&rec(1, SHARD_RUNNING, 0, 1_000, 0));
+        b.apply(&rec(0, SHARD_RUNNING, 100, 1_000, 0));
         std::thread::sleep(Duration::from_millis(60));
-        b.beat(1, 900); // shard 1 keeps beating; shard 0 went silent
+        // Shard 1 keeps beating; shard 0 went silent.
+        b.apply(&rec(1, SHARD_RUNNING, 900, 1_000, 0));
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
         let shards = doc.get("shards").and_then(Json::as_arr).expect("shards");
         assert_eq!(
@@ -486,10 +447,12 @@ mod tests {
     #[test]
     fn healthy_lifecycle_never_flags() {
         let b = board(1, 10_000);
-        b.start(0, 1_000);
-        b.beat(0, 500);
-        b.checkpoint(0);
-        b.done(0, 1_000);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 1_000, 0));
+        b.apply(&rec(0, SHARD_RUNNING, 500, 1_000, 0));
+        b.apply(&HeartbeatRecord {
+            checkpoints: 1,
+            ..rec(0, SHARD_DONE, 1_000, 1_000, 0)
+        });
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
         let shard = &doc.get("shards").and_then(Json::as_arr).expect("shards")[0];
         assert_eq!(shard.get("state").and_then(Json::as_str), Some("done"));
@@ -501,8 +464,8 @@ mod tests {
     #[test]
     fn done_shards_are_exempt_from_the_watchdog() {
         let b = board(1, 10);
-        b.start(0, 100);
-        b.done(0, 100);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 0));
+        b.apply(&rec(0, SHARD_DONE, 100, 100, 0));
         std::thread::sleep(Duration::from_millis(40));
         let json = b.render_json();
         assert!(json.contains("\"verdict\":\"ok\""), "got {json}");
@@ -511,10 +474,10 @@ mod tests {
     #[test]
     fn retries_mark_a_shard_degraded_and_loss_is_terminal() {
         let b = board(2, 10_000);
-        b.start(0, 100);
-        b.retry(0);
-        b.start(1, 100);
-        b.lost(1);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 0));
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 1));
+        b.apply(&rec(1, SHARD_RUNNING, 0, 100, 0));
+        b.apply(&rec(1, SHARD_LOST, 0, 100, 0));
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
         let shards = doc.get("shards").and_then(Json::as_arr).expect("shards");
         assert_eq!(
@@ -573,9 +536,9 @@ mod tests {
         // A shard that retried and then completed recovered its coverage:
         // the verdict is "ok", and the history lives in `retries`.
         let b = board(1, 10_000);
-        b.start(0, 100);
-        b.retry(0);
-        b.done(0, 100);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 0));
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 1));
+        b.apply(&rec(0, SHARD_DONE, 100, 100, 1));
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
         let shard = &doc.get("shards").and_then(Json::as_arr).expect("shards")[0];
         assert_eq!(shard.get("state").and_then(Json::as_str), Some("done"));
@@ -763,8 +726,8 @@ mod tests {
     #[test]
     fn redispatch_reset_returns_a_terminal_shard_to_pending() {
         let b = board(1, 10_000);
-        b.start(0, 1_000);
-        b.lost(0);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 1_000, 0));
+        b.apply(&rec(0, SHARD_LOST, 0, 1_000, 0));
         assert!(b.render_json().contains("\"state\":\"lost\""));
         b.reset_for_redispatch(0);
         let doc = Json::parse(&b.render_json()).expect("valid JSON");
@@ -791,10 +754,12 @@ mod tests {
     #[test]
     fn export_metrics_is_wall_only_with_help() {
         let b = board(3, 10_000);
-        b.start(0, 100);
-        b.retry(0);
-        b.checkpoint(0);
-        b.done(1, 100);
+        b.apply(&rec(0, SHARD_RUNNING, 0, 100, 0));
+        b.apply(&HeartbeatRecord {
+            checkpoints: 1,
+            ..rec(0, SHARD_RUNNING, 0, 100, 1)
+        });
+        b.apply(&rec(1, SHARD_DONE, 100, 100, 0));
         let registry = MetricsRegistry::new();
         b.export_metrics(&registry);
         b.export_metrics(&registry); // idempotent re-export

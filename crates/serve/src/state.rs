@@ -419,7 +419,7 @@ fn set_monotonic(counter: &csprov_obs::Counter, target: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csprov_obs::Json;
+    use csprov_obs::{HeartbeatRecord, Json, SHARD_RUNNING};
 
     #[test]
     fn status_json_merges_run_and_bus_state() {
@@ -526,7 +526,16 @@ mod tests {
         assert_eq!(summary.get("total").and_then(Json::as_f64), Some(0.0));
 
         let board = Arc::new(ShardHealthBoard::new(2, std::time::Duration::from_secs(5)));
-        board.start(0, 1_000);
+        board.apply(&HeartbeatRecord {
+            shard: 0,
+            state: SHARD_RUNNING,
+            sim_ns: 0,
+            horizon_ns: 1_000,
+            retries: 0,
+            checkpoints: 0,
+            wall_ms: 0,
+            unix_ms: csprov_obs::unix_ms(),
+        });
         shared.set_board(board);
         let doc = Json::parse(&shared.shards_json()).expect("board doc parses");
         let summary = doc.get("summary").expect("summary section");

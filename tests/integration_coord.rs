@@ -93,8 +93,8 @@ fn coordinating_one_worker_matches_the_in_process_fleet() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Several workers, a small fan-in (so the merge tree has real levels),
-/// and an awkward shard/worker ratio still converge to the same bytes.
+/// Several workers and an awkward shard/worker ratio still converge to the
+/// same bytes.
 #[test]
 fn coordinating_many_workers_matches_the_in_process_fleet() {
     let dir = temp_dir("many");
@@ -103,7 +103,6 @@ fn coordinating_many_workers_matches_the_in_process_fleet() {
 
     let opts = CoordOptions {
         workers: 3,
-        fan_in: 2,
         ..CoordOptions::default()
     };
     let run = coordinate(&config, &dir, &opts, honest_launcher(&config, &dir), None)
@@ -210,5 +209,33 @@ fn worker_that_keeps_dying_degrades_coverage() {
     assert_eq!(run.report.coverage.lost, lost);
     assert_eq!(run.report.coverage.merged, 3 - lost.len());
     assert!(run.report.coverage.is_degraded());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state dir that already holds an invalid checkpoint for a shard: the
+/// worker ignores it, recomputes the shard and renames a valid file over
+/// it. The coordinator must collect that file instead of remembering the
+/// shard as rejected and reporting it lost.
+#[test]
+fn recomputed_shard_over_an_invalid_checkpoint_is_collected_not_lost() {
+    let dir = temp_dir("garbage");
+    let config = FleetConfig::new("fleet", 7, 2, 1);
+    let baseline = run_fleet(&config).expect("in-process fleet");
+
+    std::fs::create_dir_all(&dir).expect("state dir");
+    std::fs::write(dir.join("shard-00001.state"), b"garbage\n").expect("plant garbage");
+    let opts = CoordOptions {
+        workers: 1,
+        ..CoordOptions::default()
+    };
+    let run = coordinate(&config, &dir, &opts, honest_launcher(&config, &dir), None)
+        .expect("coordinated fleet");
+
+    assert!(
+        run.report.coverage.lost.is_empty(),
+        "{:?}",
+        run.report.coverage
+    );
+    assert_eq!(rendered(&run.report), rendered(&baseline.report));
     let _ = std::fs::remove_dir_all(&dir);
 }
