@@ -10,7 +10,9 @@
 # (state files are foreign bytes: corruption must surface as typed
 # StateError/CheckpointError values, shard failures as FleetError), the
 # aggregate experiment, the journal hot path in crates/obs, and the
-# columnar ingest pipeline in crates/core — excluding `#[cfg(test)]`
+# columnar ingest pipeline: crates/core/src/pipeline.rs and the analyzers
+# its columns run through (series, histogram, flows and hurst in
+# crates/analysis) — excluding `#[cfg(test)]`
 # modules (tests may unwrap freely). Binaries (crates/bench) are exempt —
 # a CLI aborting with a message is fine; a library unwinding is not.
 #
@@ -27,6 +29,8 @@ for f in crates/net/src/*.rs crates/router/src/*.rs \
     crates/core/src/fleet/mod.rs crates/core/src/fleet/persist.rs \
     crates/core/src/fleet/coord.rs \
     crates/analysis/src/persist.rs \
+    crates/analysis/src/series.rs crates/analysis/src/histogram.rs \
+    crates/analysis/src/flows.rs crates/analysis/src/hurst.rs \
     crates/core/src/experiments/aggregate.rs \
     crates/core/src/pipeline.rs crates/obs/src/journal.rs; do
     # Strip everything from the first `#[cfg(test)]` onward: by repo

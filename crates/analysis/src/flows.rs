@@ -177,49 +177,10 @@ impl TraceSink for FlowTable {
         entry.app_bytes[dir] += u64::from(rec.app_len);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // A tick burst delivers one packet per session, but command bursts
-        // repeat a session back-to-back; reusing the entry across a run of
-        // same-session records skips the redundant hash lookups.
-        let mut i = 0;
-        while i < recs.len() {
-            let rec = &recs[i];
-            i += 1;
-            if rec.session == u32::MAX {
-                continue; // sessionless traffic (server-browser probes)
-            }
-            let session = rec.session;
-            let entry = self.flows.entry(session).or_insert(FlowStats {
-                first: rec.time,
-                last: rec.time,
-                packets: [0; 2],
-                wire_bytes: [0; 2],
-                app_bytes: [0; 2],
-            });
-            let mut rec = rec;
-            loop {
-                let dir = match rec.direction {
-                    Direction::Inbound => 0,
-                    Direction::Outbound => 1,
-                };
-                entry.last = rec.time;
-                entry.packets[dir] += 1;
-                entry.wire_bytes[dir] += u64::from(rec.wire_len());
-                entry.app_bytes[dir] += u64::from(rec.app_len);
-                match recs.get(i) {
-                    Some(next) if next.session == session => {
-                        rec = next;
-                        i += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Same run-folding as `on_batch`, but the run scan walks only the
-        // session column. Flow accumulation is integer addition plus a
+        // Command bursts repeat a session back-to-back, so one entry lookup
+        // serves a whole run of same-session rows; the run scan walks only
+        // the session column. Flow accumulation is integer addition plus a
         // last-write-wins timestamp, so run order alone determines the final
         // state — identical to per-record delivery.
         let times = batch.times_ns();

@@ -148,19 +148,6 @@ impl TraceSink for SizeHistogram {
         self.record(rec.direction, rec.app_len);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        let max = self.max_size;
-        for rec in recs {
-            let i = Self::dir_idx(rec.direction);
-            let s = rec.app_len as usize;
-            if s <= max {
-                self.counts[i][s] += 1;
-            } else {
-                self.overflow[i] += 1;
-            }
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
         // The columnar loop reads only the size and tag columns; the
         // direction index is a shift, not a match, and integer histogram

@@ -76,8 +76,9 @@ struct BlockAcc {
 /// }
 /// vt.on_end(SimTime::from_secs(100)); // 500k slots at 5 per ms = 100 s
 /// // Fit over block sizes with plenty of samples each.
-/// let (h, _fit) = vt.hurst(1, 100).unwrap();
+/// let (h, _fit) = vt.hurst(1, 100).ok_or("too few blocks to fit")?;
 /// assert!((h - 0.5).abs() < 0.12, "iid traffic has H near 1/2");
+/// # Ok::<(), &str>(())
 /// ```
 #[derive(Clone)]
 pub struct VarianceTime {
@@ -327,40 +328,11 @@ impl TraceSink for VarianceTime {
         }
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // Fold each run of same-bin records (a tick burst shares one
-        // timestamp) with a single state update. Run membership is a range
-        // check against the bin's precomputed bounds — one division per run
-        // instead of one per record.
-        let base = self.base.as_nanos();
-        let mut i = 0;
-        while i < recs.len() {
-            let idx = recs[i].time.bin_index(self.base);
-            let lo = idx * base;
-            let hi = lo.saturating_add(base);
-            let mut run = 1u64;
-            i += 1;
-            while recs.get(i).is_some_and(|r| {
-                let t = r.time.as_nanos();
-                t >= lo && t < hi
-            }) {
-                run += 1;
-                i += 1;
-            }
-            match &mut self.current_bin {
-                Some((cur, count)) if *cur == idx => *count += run,
-                Some(_) => {
-                    self.flush_current();
-                    self.current_bin = Some((idx, run));
-                }
-                None => self.current_bin = Some((idx, run)),
-            }
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Columnar twin of `on_batch`: the run scan reads only the timestamp
-        // column, and each run becomes a single count increment.
+        // Fold each run of same-bin rows (a tick burst shares one timestamp)
+        // with a single state update: the run scan reads only the timestamp
+        // column, one division per run, and each run becomes a single count
+        // increment.
         let base = self.base.as_nanos();
         let times = batch.times_ns();
         let n = times.len();

@@ -291,61 +291,15 @@ impl TraceSink for RateSeries {
         }
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // A tick burst shares one timestamp, so after the first record the
-        // rest accumulate into the same bin; keep that bin in a local and
-        // write it back once per run of same-bin records. Membership in the
-        // run is a range check against the bin's precomputed bounds — one
-        // division per run instead of one per record.
-        let width = self.width.as_nanos();
-        let mut i = 0;
-        while i < recs.len() {
-            let rec = &recs[i];
-            i += 1;
-            if let Some(f) = self.filter {
-                if rec.direction != f {
-                    continue;
-                }
-            }
-            let idx = rec.time.bin_index(self.width);
-            let lo = idx * width;
-            let hi = lo.saturating_add(width);
-            let mut bin = match self.current.take() {
-                Some((cur, bin)) if cur == idx => bin,
-                Some(other) => {
-                    self.current = Some(other);
-                    self.flush_current();
-                    RateBin::default()
-                }
-                None => RateBin::default(),
-            };
-            bin.packets += 1;
-            bin.wire_bytes += u64::from(rec.wire_len());
-            // Fold the rest of the same-bin run without touching self.
-            while let Some(rec) = recs.get(i) {
-                if self.filter.is_some_and(|f| rec.direction != f) {
-                    i += 1;
-                    continue;
-                }
-                let t = rec.time.as_nanos();
-                if t < lo || t >= hi {
-                    break;
-                }
-                bin.packets += 1;
-                bin.wire_bytes += u64::from(rec.wire_len());
-                i += 1;
-            }
-            self.current = Some((idx, bin));
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
-        // Columnar variant of `on_batch`: runs of same-bin rows are found by
-        // scanning only the timestamp column, and the per-run accumulation
-        // reads only the size column (plus the tag column when filtered) —
-        // a tight integer loop over dense memory. Bin flush order, and
-        // therefore the Welford push sequence, matches the per-record path
-        // exactly: a filtered-out row contributes nothing either way.
+        // A tick burst shares one timestamp, so rows fold in runs that share
+        // a bin. Runs are found by scanning only the timestamp column (a
+        // range check against the bin's bounds, one division per run), and
+        // the per-run accumulation reads only the size column (plus the tag
+        // column when filtered) — a tight integer loop over dense memory.
+        // Bin flush order, and therefore the Welford push sequence, matches
+        // the per-record path exactly: a filtered-out row contributes
+        // nothing either way.
         let width = self.width.as_nanos();
         let times = batch.times_ns();
         let lens = batch.app_lens();

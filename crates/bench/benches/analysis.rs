@@ -98,8 +98,9 @@ fn tick_burst_records(bursts: usize, players: u32) -> Vec<TraceRecord> {
 
 fn bench_pipeline_ingest(h: &mut Harness) {
     // The full 13-analyzer composite behind the server tap, fed the same
-    // snapshot-burst stream record-by-record vs one `on_batch` call per
-    // tick burst — the two delivery paths the world can use.
+    // snapshot-burst stream through its two ingest paths: record-by-record
+    // `on_packet` (inbound arrivals) vs one columnar `on_columns` call per
+    // tick burst, the batch the world fills each tick.
     let burst = 22usize; // one snapshot per player per 50 ms tick
     let records = tick_burst_records(100_000 / burst, burst as u32);
     let n = records.len() as u64;
@@ -119,21 +120,6 @@ fn bench_pipeline_ingest(h: &mut Harness) {
         })
     });
 
-    g.bench_function("full_analysis_batched_100k", |b| {
-        b.iter(|| {
-            let mut a = FullAnalysis::new(SimDuration::from_secs(3600));
-            let sink: &mut dyn TraceSink = &mut a;
-            for chunk in records.chunks(burst) {
-                sink.on_batch(chunk);
-            }
-            sink.on_end(end);
-            black_box(a.counts.total_packets())
-        })
-    });
-
-    // Pre-transposed columnar delivery: what a batch-native producer would
-    // hand the pipeline, isolating column consumption from the AoS→SoA
-    // transpose that `on_batch` performs per burst.
     let batches: Vec<PacketBatch> = records
         .chunks(burst)
         .map(PacketBatch::from_records)

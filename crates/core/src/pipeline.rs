@@ -49,9 +49,6 @@ pub struct FullAnalysis {
     pub sizes: SizeHistogram,
     /// Per-flow accounting (Figure 11).
     pub flows: FlowTable,
-    /// Reusable column scratch the burst is transposed into; cleared (not
-    /// reallocated) every `on_batch`.
-    batch: PacketBatch,
 }
 
 impl FullAnalysis {
@@ -100,7 +97,6 @@ impl FullAnalysis {
             variance_time: VarianceTime::new(ms10, max_block, 8),
             sizes: SizeHistogram::new(500),
             flows: FlowTable::new(),
-            batch: PacketBatch::new(),
         }
     }
 
@@ -206,17 +202,6 @@ impl TraceSink for FullAnalysis {
         self.flows.on_packet(rec);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // Transpose once into the reusable scratch, then fan the columns out
-        // to every analyzer. Taking the batch out of `self` lets the columnar
-        // delivery borrow `self` mutably; only the Vec headers move.
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        batch.extend_from_records(recs);
-        self.on_columns(&batch);
-        self.batch = batch;
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
         // A server tick burst shares a single timestamp. When the whole
         // batch does, one pass over the tag and size columns produces
@@ -276,12 +261,6 @@ struct ProfiledTap {
 impl TraceSink for ProfiledTap {
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.inner.borrow_mut().on_packet(rec);
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        let mut scope = self.profile.enter("pipeline.ingest");
-        scope.add_items(recs.len() as u64);
-        self.inner.borrow_mut().on_batch(recs);
     }
 
     fn on_columns(&mut self, batch: &PacketBatch) {

@@ -15,8 +15,8 @@ use crate::server::{ConnectOutcome, ServerState};
 use crate::session::{self, Population};
 use csprov_analysis::SessionRecord;
 use csprov_net::{
-    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkMetrics, Packet, PacketKind,
-    TraceRecord, TraceSink,
+    client_endpoint, server_endpoint, Direction, Link, LinkClass, LinkMetrics, Packet, PacketBatch,
+    PacketKind, TraceRecord, TraceSink,
 };
 use csprov_sim::{spawn_periodic, RngStream, SimDuration, SimTime, Simulator, StopFlag};
 use std::cell::RefCell;
@@ -156,15 +156,15 @@ impl WorldState {
     }
 
     /// Delivers a coalesced burst (e.g. one server tick's snapshots) to the
-    /// tap in a single sink call; equivalent to `record` per packet.
-    fn record_batch(&self, recs: &[TraceRecord]) {
-        if recs.is_empty() {
+    /// tap in a single columnar sink call; equivalent to `record` per packet.
+    fn record_batch(&self, batch: &PacketBatch) {
+        if batch.is_empty() {
             return;
         }
         if let Some(m) = &self.metrics {
-            m.packets_recorded.add(recs.len() as u64);
+            m.packets_recorded.add(batch.len() as u64);
         }
-        self.sink.borrow_mut().on_batch(recs);
+        self.sink.borrow_mut().on_columns(batch);
     }
 
     fn note_player_delta(&mut self, now: SimTime, old_count: usize) {
@@ -358,9 +358,10 @@ fn emit_outbound(w: &W, sim: &mut Simulator, session: u32, kind: PacketKind, app
 fn schedule_server_tick(w: &W, sim: &mut Simulator) {
     let tick = w.borrow().cfg.server.tick;
     let w = w.clone();
-    // Scratch buffers reused across ticks; the burst is coalesced into one
-    // batched tap delivery instead of a sink call per snapshot.
-    let mut burst: Vec<TraceRecord> = Vec::new();
+    // Scratch buffers reused across ticks; the burst is filled into one
+    // column batch and handed to the tap in a single sink call instead of a
+    // call per snapshot.
+    let mut burst = PacketBatch::new();
     let mut forwards: Vec<Packet> = Vec::new();
     // Cumulative shed count already journaled, so each tick emits only the
     // delta it caused.
@@ -443,7 +444,7 @@ fn schedule_server_tick(w: &W, sim: &mut Simulator) {
                 if mb.is_some() {
                     forwards.push(pkt);
                 }
-                burst.push(TraceRecord::from_packet(now, &pkt));
+                burst.push(&TraceRecord::from_packet(now, &pkt));
             }
             w.borrow().record_batch(&burst);
             if let Some(mb) = mb {

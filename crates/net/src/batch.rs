@@ -5,7 +5,9 @@
 //! keys (session ids) and a packed direction/kind tag byte per packet. Hot
 //! sinks consume whole columns — run-folded bin accounting walks only the
 //! timestamp column, size histograms walk only the size column — so the
-//! inner loops touch dense, homogeneous memory and vectorize.
+//! inner loops touch dense, homogeneous memory and vectorize. Producers
+//! (the world's server tick, trace replay) push rows into one reused batch
+//! per burst, so no record slice is ever transposed.
 //!
 //! The batch is a *view format*, not a new source of truth: every row can be
 //! reconstructed exactly as the [`TraceRecord`] it was built from (see
@@ -15,7 +17,7 @@
 //! per-record delivery are required to leave byte-identical analyzer state;
 //! the differential tests in `csprov` enforce that.
 
-use crate::packet::{Direction, PacketKind, WIRE_OVERHEAD_BYTES};
+use crate::packet::{Direction, PacketKind};
 use crate::trace::TraceRecord;
 use csprov_sim::SimTime;
 
@@ -63,10 +65,13 @@ impl PacketBatch {
         }
     }
 
-    /// Transposes a record slice into a fresh batch.
+    /// Builds a batch from a record slice. Producers push rows as they
+    /// go; this is for callers that already hold the records.
     pub fn from_records(recs: &[TraceRecord]) -> Self {
         let mut batch = Self::with_capacity(recs.len());
-        batch.extend_from_records(recs);
+        for rec in recs {
+            batch.push(rec);
+        }
         batch
     }
 
@@ -76,18 +81,6 @@ impl PacketBatch {
         self.app_lens.push(rec.app_len);
         self.sessions.push(rec.session);
         self.tags.push(tag_of(rec.direction, rec.kind));
-    }
-
-    /// Appends every record in the slice. One pass per column: each
-    /// `extend` gets an exact-size iterator, so the per-element capacity and
-    /// length bookkeeping of four interleaved pushes collapses into four
-    /// tight gather loops.
-    pub fn extend_from_records(&mut self, recs: &[TraceRecord]) {
-        self.times_ns.extend(recs.iter().map(|r| r.time.as_nanos()));
-        self.app_lens.extend(recs.iter().map(|r| r.app_len));
-        self.sessions.extend(recs.iter().map(|r| r.session));
-        self.tags
-            .extend(recs.iter().map(|r| tag_of(r.direction, r.kind)));
     }
 
     /// Empties the batch, keeping the column allocations for reuse.
@@ -130,12 +123,6 @@ impl PacketBatch {
         &self.tags
     }
 
-    /// Direction of row `i` as the `[inbound, outbound]` array index the
-    /// analyzers use — `0` inbound, `1` outbound.
-    pub fn dir_index(&self, i: usize) -> usize {
-        usize::from(self.tags[i] >> 7)
-    }
-
     /// Direction of row `i`.
     pub fn direction(&self, i: usize) -> Direction {
         if self.tags[i] & TAG_DIR_BIT == 0 {
@@ -153,11 +140,6 @@ impl PacketBatch {
         PacketKind::from_u8(self.tags[i] & TAG_KIND_MASK).unwrap_or(PacketKind::ClientCommand)
     }
 
-    /// Wire length of row `i` under the paper's accounting.
-    pub fn wire_len(&self, i: usize) -> u32 {
-        self.app_lens[i] + WIRE_OVERHEAD_BYTES
-    }
-
     /// Reconstructs row `i` as the record it was built from.
     pub fn record(&self, i: usize) -> TraceRecord {
         TraceRecord {
@@ -168,16 +150,12 @@ impl PacketBatch {
             app_len: self.app_lens[i],
         }
     }
-
-    /// Iterates the rows as reconstructed records.
-    pub fn iter_records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
-        (0..self.len()).map(move |i| self.record(i))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::WIRE_OVERHEAD_BYTES;
 
     fn rec(ms: u64, dir: Direction, kind: PacketKind, session: u32, len: u32) -> TraceRecord {
         TraceRecord {
@@ -206,7 +184,7 @@ mod tests {
         ));
         let batch = PacketBatch::from_records(&recs);
         assert_eq!(batch.len(), recs.len());
-        let back: Vec<TraceRecord> = batch.iter_records().collect();
+        let back: Vec<TraceRecord> = (0..batch.len()).map(|i| batch.record(i)).collect();
         assert_eq!(back, recs);
     }
 
@@ -220,9 +198,9 @@ mod tests {
         assert_eq!(batch.times_ns(), &[0, 1_000_000]);
         assert_eq!(batch.app_lens(), &[40, 130]);
         assert_eq!(batch.sessions(), &[3, 7]);
-        assert_eq!(batch.dir_index(0), 0);
-        assert_eq!(batch.dir_index(1), 1);
-        assert_eq!(batch.wire_len(1), 130 + WIRE_OVERHEAD_BYTES);
+        assert_eq!(batch.tags()[0] & TAG_DIR_BIT, 0);
+        assert_eq!(batch.tags()[1] & TAG_DIR_BIT, TAG_DIR_BIT);
+        assert_eq!(batch.record(1).wire_len(), 130 + WIRE_OVERHEAD_BYTES);
         assert_eq!(batch.kind(1), PacketKind::StateUpdate);
     }
 
@@ -234,7 +212,9 @@ mod tests {
         batch.clear();
         assert!(batch.is_empty());
         assert_eq!(batch.times_ns.capacity(), cap);
-        batch.extend_from_records(&recs[..8]);
+        for rec in &recs[..8] {
+            batch.push(rec);
+        }
         assert_eq!(batch.len(), 8);
     }
 }

@@ -95,24 +95,26 @@ pub trait TraceSink {
     /// Called once per observed packet, in non-decreasing time order.
     fn on_packet(&mut self, rec: &TraceRecord);
 
-    /// Called with a burst of records in non-decreasing time order (e.g.
-    /// one server tick's outbound snapshots). Equivalent to calling
-    /// [`TraceSink::on_packet`] once per record — the default does exactly
-    /// that — but hot sinks override it to amortize dispatch and lookup
-    /// costs over the burst.
+    /// Called with a burst of records in non-decreasing time order.
+    /// Equivalent to calling [`TraceSink::on_packet`] once per record, which
+    /// is all the default does. No producer in the workspace calls it:
+    /// bursts (server ticks, trace replay) arrive through
+    /// [`TraceSink::on_columns`]. It stays as a per-record convenience for
+    /// sinks outside the workspace that implement or forward it.
     fn on_batch(&mut self, recs: &[TraceRecord]) {
         for rec in recs {
             self.on_packet(rec);
         }
     }
 
-    /// Called with a burst in columnar (struct-of-arrays) form. Equivalent
-    /// to delivering the reconstructed rows through
-    /// [`TraceSink::on_packet`] — the default shim does exactly that, so
-    /// every sink keeps working unchanged — but the hot analyzers override
-    /// it to walk whole columns: run-folded bin accounting over the
-    /// timestamp column, branch-light bucketing over the size column.
-    /// Overrides must leave state byte-identical to the per-record path.
+    /// Called with a burst in columnar (struct-of-arrays) form: the only
+    /// batched entry producers use. Equivalent to delivering the
+    /// reconstructed rows through [`TraceSink::on_packet`] — the default
+    /// shim does exactly that, so every sink keeps working unchanged — but
+    /// the hot analyzers override it to walk whole columns: run-folded bin
+    /// accounting over the timestamp column, branch-light bucketing over the
+    /// size column. Overrides must leave state byte-identical to the
+    /// per-record path.
     fn on_columns(&mut self, batch: &PacketBatch) {
         for i in 0..batch.len() {
             self.on_packet(&batch.record(i));
@@ -129,8 +131,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn on_packet(&mut self, _rec: &TraceRecord) {}
-
-    fn on_batch(&mut self, _recs: &[TraceRecord]) {}
 
     fn on_columns(&mut self, _batch: &PacketBatch) {}
 }
@@ -222,24 +222,6 @@ impl TraceSink for CountingSink {
         self.wire_bytes[i] += u64::from(rec.wire_len());
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        // Accumulate in locals so the per-record loop stays in registers.
-        let mut packets = [0u64; 2];
-        let mut app = [0u64; 2];
-        let mut wire = [0u64; 2];
-        for rec in recs {
-            let i = Self::dir_idx(rec.direction);
-            packets[i] += 1;
-            app[i] += u64::from(rec.app_len);
-            wire[i] += u64::from(rec.wire_len());
-        }
-        for i in 0..2 {
-            self.packets[i] += packets[i];
-            self.app_bytes[i] += app[i];
-            self.wire_bytes[i] += wire[i];
-        }
-    }
-
     fn on_columns(&mut self, batch: &PacketBatch) {
         // Pure integer accumulation over two dense columns: the tag byte
         // selects the per-direction lane arithmetically, so the loop has no
@@ -298,12 +280,6 @@ impl TraceSink for Tee {
     fn on_packet(&mut self, rec: &TraceRecord) {
         for s in &mut self.sinks {
             s.on_packet(rec);
-        }
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for s in &mut self.sinks {
-            s.on_batch(recs);
         }
     }
 
@@ -410,17 +386,6 @@ impl<W: Write> TraceSink for WriterSink<W> {
             }
         }
     }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for rec in recs {
-            if self.error.is_some() {
-                return;
-            }
-            if let Err(e) = self.writer.write(rec) {
-                self.error = Some(e);
-            }
-        }
-    }
 }
 
 /// Reads back traces written by [`TraceWriter`].
@@ -483,26 +448,23 @@ impl<R: Read> TraceReader<R> {
 
     /// Drains the stream into a sink; returns the record count.
     ///
-    /// Records are delivered through [`TraceSink::on_batch`] in chunks so
-    /// batching sinks amortize their dispatch; order and `on_end` semantics
-    /// match a record-at-a-time replay exactly. Strict: the first error of
-    /// any kind aborts the replay.
+    /// Records are delivered through [`TraceSink::on_columns`] in chunks of
+    /// up to 256 rows, filled into one reused [`PacketBatch`], so columnar
+    /// sinks walk whole columns; order and `on_end` semantics match a
+    /// record-at-a-time replay exactly. Strict: the first error of any kind
+    /// aborts the replay.
     pub fn replay(&mut self, sink: &mut dyn TraceSink) -> Result<u64, Error> {
-        const CHUNK: usize = 256;
-        let mut buf = Vec::with_capacity(CHUNK);
+        let mut batch = PacketBatch::with_capacity(REPLAY_CHUNK);
         let mut n = 0;
         let mut last = SimTime::ZERO;
         while let Some(rec) = self.read()? {
             last = rec.time;
-            buf.push(rec);
-            if buf.len() == CHUNK {
-                sink.on_batch(&buf);
-                n += buf.len() as u64;
-                buf.clear();
+            batch.push(&rec);
+            if batch.len() == REPLAY_CHUNK {
+                n += deliver_chunk(sink, &mut batch);
             }
         }
-        sink.on_batch(&buf);
-        n += buf.len() as u64;
+        n += deliver_chunk(sink, &mut batch);
         sink.on_end(last);
         Ok(n)
     }
@@ -525,8 +487,7 @@ impl<R: Read> TraceReader<R> {
         sink: &mut dyn TraceSink,
         journal: Option<&csprov_obs::Journal>,
     ) -> Result<ReplayReport, Error> {
-        const CHUNK: usize = 256;
-        let mut buf = Vec::with_capacity(CHUNK);
+        let mut batch = PacketBatch::with_capacity(REPLAY_CHUNK);
         let mut report = ReplayReport::default();
         let mut last = SimTime::ZERO;
         let mut scanned: u64 = 0;
@@ -556,11 +517,9 @@ impl<R: Read> TraceReader<R> {
             match Self::decode_record(&raw) {
                 Ok(rec) => {
                     last = rec.time;
-                    buf.push(rec);
-                    if buf.len() == CHUNK {
-                        report.delivered += buf.len() as u64;
-                        sink.on_batch(&buf);
-                        buf.clear();
+                    batch.push(&rec);
+                    if batch.len() == REPLAY_CHUNK {
+                        report.delivered += deliver_chunk(sink, &mut batch);
                     }
                 }
                 Err(e) if e.is_decode() => {
@@ -573,11 +532,25 @@ impl<R: Read> TraceReader<R> {
             }
         }
         drop(skip_writer); // flushes any buffered skips
-        report.delivered += buf.len() as u64;
-        sink.on_batch(&buf);
+        report.delivered += deliver_chunk(sink, &mut batch);
         sink.on_end(last);
         Ok(report)
     }
+}
+
+/// Rows per columnar chunk a replay hands to its sink.
+const REPLAY_CHUNK: usize = 256;
+
+/// Hands a replay chunk to the sink through [`TraceSink::on_columns`] and
+/// empties it for reuse; returns the rows delivered. An empty chunk is not
+/// delivered.
+fn deliver_chunk(sink: &mut dyn TraceSink, batch: &mut PacketBatch) -> u64 {
+    let n = batch.len() as u64;
+    if n > 0 {
+        sink.on_columns(batch);
+        batch.clear();
+    }
+    n
 }
 
 #[cfg(test)]

@@ -436,59 +436,86 @@ impl Journal {
     /// with no trailing comma; an empty string adds nothing.
     pub fn export_chrome_trace_with(&self, extra_rows: &str) -> String {
         let inner = self.0.borrow();
-        // Stable thread ids: first-seen order of subsystem prefixes.
+        let events = || inner.full.iter().flatten().chain(inner.tail.iter());
+        // One scan over the kind ids: per-kind event counts (to size the
+        // buffer) and the first-seen order of kinds.
+        let mut counts = vec![0usize; inner.kinds.len()];
+        let mut order: Vec<u32> = Vec::new();
+        for ev in events() {
+            if let Some(c) = counts.get_mut(ev.kind as usize) {
+                if *c == 0 {
+                    order.push(ev.kind);
+                }
+                *c += 1;
+            }
+        }
+        // Stable thread ids: first-seen order of subsystem prefixes. A
+        // prefix first appears with the first-seen kind that carries it.
         let mut tids: Vec<&str> = Vec::new();
-        for ev in inner.iter() {
-            let prefix = subsystem(ev.kind);
+        for &id in &order {
+            let prefix = subsystem(inner.kind_str(id));
             if !tids.contains(&prefix) {
                 tids.push(prefix);
             }
         }
-        let mut out = String::with_capacity(128 + inner.len() * 120);
+        // Each kind's row head — everything up to the timestamp — rendered
+        // once; `.level` kinds are counter rows, the rest thread instants.
+        let rows: Vec<(String, bool)> = inner
+            .kinds
+            .iter()
+            .map(|kind| {
+                let tid = tids.iter().position(|p| *p == subsystem(kind)).unwrap_or(0);
+                let level = kind.ends_with(".level");
+                let ph = if level {
+                    "\"ph\":\"C\""
+                } else {
+                    "\"ph\":\"i\",\"s\":\"t\""
+                };
+                let head = format!(
+                    ",\n{{\"name\":{},{ph},\"pid\":1,\"tid\":{tid},\"ts\":",
+                    escape(kind)
+                );
+                (head, level)
+            })
+            .collect();
+        // Reserve for every row head, a typical row's numbers and suffix,
+        // and the extra rows, so the buffer is allocated once.
+        let head_bytes: usize = rows.iter().zip(&counts).map(|(r, c)| r.0.len() * c).sum();
+        let mut out = String::with_capacity(
+            128 + tids.len() * 96 + head_bytes + inner.len() * 64 + extra_rows.len(),
+        );
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"name\":\"csprov seeded run\"}}}}"
+        out.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"csprov seeded run\"}}",
         );
         for (tid, prefix) in tids.iter().enumerate() {
-            let _ = write!(
-                out,
-                ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":{}}}}}",
-                tid,
-                escape(prefix)
-            );
+            out.push_str(",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+            push_u64(&mut out, tid as u64);
+            out.push_str(",\"args\":{\"name\":");
+            out.push_str(&escape(prefix));
+            out.push_str("}}");
         }
-        for ev in inner.iter() {
-            let prefix = subsystem(ev.kind);
-            let tid = tids.iter().position(|p| *p == prefix).unwrap_or(0);
-            let us = ev.sim_ns / 1_000;
-            let ns_frac = ev.sim_ns % 1_000;
-            if ev.kind.ends_with(".level") {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"tid\":{},\
-                     \"ts\":{}.{:03},\"args\":{{\"level\":{}}}}}",
-                    escape(ev.kind),
-                    tid,
-                    us,
-                    ns_frac,
-                    ev.value
-                );
-            } else {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\
-                     \"ts\":{}.{:03},\"args\":{{\"key\":{},\"value\":{}}}}}",
-                    escape(ev.kind),
-                    tid,
-                    us,
-                    ns_frac,
-                    ev.key,
-                    ev.value
-                );
+        for ev in events() {
+            let Some((head, level)) = rows.get(ev.kind as usize) else {
+                continue;
+            };
+            out.push_str(head);
+            push_u64(&mut out, ev.sim_ns / 1_000);
+            let frac = ev.sim_ns % 1_000;
+            out.push('.');
+            for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+                out.push(char::from(b'0' + digit as u8));
             }
+            if *level {
+                out.push_str(",\"args\":{\"level\":");
+            } else {
+                out.push_str(",\"args\":{\"key\":");
+                push_u64(&mut out, ev.key);
+                out.push_str(",\"value\":");
+            }
+            push_u64(&mut out, ev.value);
+            out.push_str("}}");
         }
         if !extra_rows.is_empty() {
             out.push_str(",\n");
@@ -497,6 +524,22 @@ impl Journal {
         out.push_str("\n]}\n");
         out
     }
+}
+
+/// Appends `v` in decimal without going through the formatting machinery.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written, so the conversion always succeeds.
+    out.push_str(std::str::from_utf8(&digits[start..]).unwrap_or_default());
 }
 
 /// A buffered append handle for one `(journal, kind)` pair.
@@ -651,6 +694,107 @@ mod tests {
             Some("game.tick.begin")
         );
         assert_eq!(ev.get("sim_ns").and_then(Json::as_f64), Some(1000.0));
+    }
+
+    /// The Chrome exporter as first written — `write!` and a fresh `escape`
+    /// per event — kept as the reference the row-head renderer must match
+    /// byte for byte.
+    fn reference_chrome_trace(j: &Journal, extra_rows: &str) -> String {
+        let events = j.events();
+        let mut tids: Vec<&str> = Vec::new();
+        for ev in &events {
+            let prefix = subsystem(ev.kind);
+            if !tids.contains(&prefix) {
+                tids.push(prefix);
+            }
+        }
+        let mut out = String::new();
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{{\"name\":\"csprov seeded run\"}}}}"
+        );
+        for (tid, prefix) in tids.iter().enumerate() {
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
+                 \"args\":{{\"name\":{}}}}}",
+                tid,
+                escape(prefix)
+            );
+        }
+        for ev in &events {
+            let prefix = subsystem(ev.kind);
+            let tid = tids.iter().position(|p| *p == prefix).unwrap_or(0);
+            let us = ev.sim_ns / 1_000;
+            let ns_frac = ev.sim_ns % 1_000;
+            if ev.kind.ends_with(".level") {
+                let _ = write!(
+                    out,
+                    ",\n{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"tid\":{},\
+                     \"ts\":{}.{:03},\"args\":{{\"level\":{}}}}}",
+                    escape(ev.kind),
+                    tid,
+                    us,
+                    ns_frac,
+                    ev.value
+                );
+            } else {
+                let _ = write!(
+                    out,
+                    ",\n{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\
+                     \"ts\":{}.{:03},\"args\":{{\"key\":{},\"value\":{}}}}}",
+                    escape(ev.kind),
+                    tid,
+                    us,
+                    ns_frac,
+                    ev.key,
+                    ev.value
+                );
+            }
+        }
+        if !extra_rows.is_empty() {
+            out.push_str(",\n");
+            out.push_str(extra_rows);
+        }
+        out.push_str("\n]}\n");
+        out
+    }
+
+    #[test]
+    fn chrome_trace_matches_reference_formatter() {
+        let j = Journal::with_capacity(900);
+        let extra = "{\"name\":\"x\",\"ph\":\"X\",\"pid\":2,\"tid\":0}";
+        assert_eq!(j.export_chrome_trace(), reference_chrome_trace(&j, ""));
+        // A kind interned and then cleared away claims no thread row.
+        j.emit(1, "stale.kind", 0, 0);
+        j.clear();
+        // `.level` counters and instants interleaved across several
+        // subsystems, a kind without a dot, one that needs escaping, and
+        // more events than the capacity holds.
+        let kinds = [
+            "net.replay.skip",
+            "game.tick.begin",
+            "game.players.level",
+            "router.nat.insert",
+            "sim.queue.level",
+            "game.snapshot.burst",
+            "odd\"sub\\system.level",
+            "bare",
+        ];
+        for i in 0..1_000u64 {
+            let kind = kinds[(i * 5 + i / 7) as usize % kinds.len()];
+            let sim_ns = i * 12_345_679 + i % 3 * 1_000;
+            let key = if i % 11 == 0 { u64::MAX } else { i * i };
+            j.emit(sim_ns, kind, key, i % 13 * 1_000_007);
+        }
+        assert!(j.dropped() > 0);
+        assert_eq!(j.export_chrome_trace(), reference_chrome_trace(&j, ""));
+        assert_eq!(
+            j.export_chrome_trace_with(extra),
+            reference_chrome_trace(&j, extra)
+        );
     }
 
     #[test]

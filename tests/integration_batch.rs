@@ -1,13 +1,13 @@
 //! Columnar-ingest determinism boundary: the struct-of-arrays fast path
 //! must be unobservable. Every analyzer reaches byte-identical state
-//! whether a burst arrives as per-record `on_packet` calls, a per-record
-//! `on_batch` replay, or the columnar `on_columns` path — including the
-//! uniform-timestamp burst shortcut — and the journal's buffered writer
-//! lane stores exactly the events plain `emit` would.
+//! whether a burst arrives as per-record `on_packet` calls or through the
+//! columnar `on_columns` path — including the uniform-timestamp burst
+//! shortcut — and the journal's buffered writer lane stores exactly the
+//! events plain `emit` would.
 
 use csprov::pipeline::FullAnalysis;
 use csprov_game::{ScenarioConfig, World};
-use csprov_net::{Direction, PacketKind, TraceRecord, TraceSink};
+use csprov_net::{Direction, PacketBatch, PacketKind, TraceRecord, TraceSink};
 use csprov_obs::{BroadcastBus, BusEvent, Journal};
 use csprov_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -63,9 +63,9 @@ fn random_bursts(seed: u64, bursts: usize) -> Vec<Vec<TraceRecord>> {
     out
 }
 
-/// The per-record reference the columnar path is diffed against: every
-/// burst goes to each analyzer's own `on_batch`, so no record is ever
-/// transposed into the composite's column scratch.
+/// The per-record reference the columnar path is diffed against: the
+/// trait's default `on_columns` replays every burst row by row through
+/// `on_packet`, so no analyzer's columnar code ever runs.
 struct PerRecord(FullAnalysis);
 
 impl TraceSink for PerRecord {
@@ -73,31 +73,41 @@ impl TraceSink for PerRecord {
         self.0.on_packet(rec);
     }
 
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        let a = &mut self.0;
-        a.counts.on_batch(recs);
-        a.per_minute.on_batch(recs);
-        a.per_minute_in.on_batch(recs);
-        a.per_minute_out.on_batch(recs);
-        a.ms10_total.on_batch(recs);
-        a.ms10_in.on_batch(recs);
-        a.ms10_out.on_batch(recs);
-        a.ms50_total.on_batch(recs);
-        a.sec1_total.on_batch(recs);
-        a.min30_total.on_batch(recs);
-        a.variance_time.on_batch(recs);
-        a.sizes.on_batch(recs);
-        a.flows.on_batch(recs);
-    }
-
     fn on_end(&mut self, end: SimTime) {
         self.0.on_end(end);
     }
 }
 
+/// Counts the batched calls a producer makes before forwarding them.
+struct CallCount<S> {
+    inner: S,
+    on_batch: u64,
+    on_columns: u64,
+}
+
+impl<S: TraceSink> TraceSink for CallCount<S> {
+    fn on_packet(&mut self, rec: &TraceRecord) {
+        self.inner.on_packet(rec);
+    }
+
+    fn on_batch(&mut self, recs: &[TraceRecord]) {
+        self.on_batch += 1;
+        self.inner.on_batch(recs);
+    }
+
+    fn on_columns(&mut self, batch: &PacketBatch) {
+        self.on_columns += 1;
+        self.inner.on_columns(batch);
+    }
+
+    fn on_end(&mut self, end: SimTime) {
+        self.inner.on_end(end);
+    }
+}
+
 fn run_through<S: TraceSink>(mut sink: S, bursts: &[Vec<TraceRecord>], end: SimTime) -> S {
     for burst in bursts {
-        sink.on_batch(burst);
+        sink.on_columns(&PacketBatch::from_records(burst));
     }
     sink.on_end(end);
     sink
@@ -197,10 +207,11 @@ fn columnar_matches_per_record_on_randomized_streams() {
     let end = SimTime::from_nanos(duration.as_nanos());
     for seed in [1, 42, 0xdead_beef, 7_777_777] {
         let bursts = random_bursts(seed, 400);
-        // Three deliveries of the same stream: the columnar path (default),
-        // the legacy per-record on_batch path, and raw on_packet calls.
+        // Three deliveries of the same stream: the columnar path, the
+        // per-record reference behind the default `on_columns`, and raw
+        // on_packet calls.
         let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
-        let legacy = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
+        let per_record = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
         let mut packet = FullAnalysis::new(duration);
         for burst in &bursts {
             for rec in burst {
@@ -208,7 +219,11 @@ fn columnar_matches_per_record_on_randomized_streams() {
             }
         }
         packet.on_end(end);
-        assert_identical(&columnar, &legacy, &format!("seed {seed}: soa vs legacy"));
+        assert_identical(
+            &columnar,
+            &per_record,
+            &format!("seed {seed}: soa vs per-record"),
+        );
         assert_identical(
             &columnar,
             &packet,
@@ -245,8 +260,8 @@ fn uniform_tick_bursts_match_per_record() {
         );
     }
     let columnar = run_through(FullAnalysis::new(duration), &bursts, end);
-    let legacy = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
-    assert_identical(&columnar, &legacy, "uniform ticks");
+    let per_record = run_through(PerRecord(FullAnalysis::new(duration)), &bursts, end).0;
+    assert_identical(&columnar, &per_record, "uniform ticks");
 }
 
 #[test]
@@ -263,9 +278,19 @@ fn seeded_world_run_is_identical_across_ingest_paths() {
             .expect("world must release the sink")
             .into_inner()
     }
-    let columnar = run(&cfg, FullAnalysis::new(cfg.duration));
-    let legacy = run(&cfg, PerRecord(FullAnalysis::new(cfg.duration))).0;
-    assert_identical(&columnar, &legacy, "seeded world run");
+    let counted = run(
+        &cfg,
+        CallCount {
+            inner: FullAnalysis::new(cfg.duration),
+            on_batch: 0,
+            on_columns: 0,
+        },
+    );
+    assert_eq!(counted.on_batch, 0, "the world never calls on_batch");
+    assert!(counted.on_columns > 0, "tick bursts arrive as columns");
+    let columnar = counted.inner;
+    let per_record = run(&cfg, PerRecord(FullAnalysis::new(cfg.duration))).0;
+    assert_identical(&columnar, &per_record, "seeded world run");
 }
 
 #[test]

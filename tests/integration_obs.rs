@@ -91,20 +91,14 @@ fn table4_is_byte_identical_with_metrics_on() {
     assert!(pre_in > 100_000, "a 30-minute map is busy: {pre_in}");
 }
 
-/// A sink that refuses coalesced bursts: every `on_batch` is unbatched
-/// into per-record `on_packet` calls on the wrapped analysis, forcing the
-/// pre-batching delivery semantics.
+/// A sink that refuses coalesced bursts: the trait's default `on_columns`
+/// unbatches every burst into per-record `on_packet` calls on the wrapped
+/// analysis, forcing the pre-batching delivery semantics.
 struct Debatch(FullAnalysis);
 
 impl TraceSink for Debatch {
     fn on_packet(&mut self, rec: &TraceRecord) {
         self.0.on_packet(rec);
-    }
-
-    fn on_batch(&mut self, recs: &[TraceRecord]) {
-        for rec in recs {
-            self.0.on_packet(rec);
-        }
     }
 
     fn on_end(&mut self, end: SimTime) {
@@ -115,7 +109,7 @@ impl TraceSink for Debatch {
 #[test]
 fn batched_tap_delivery_matches_per_record() {
     // Same seed, two delivery modes: the default run hands each server-tick
-    // burst to the sink via `on_batch`; the Debatch run replays it packet by
+    // burst to the sink via `on_columns`; the Debatch run replays it packet by
     // packet. Every analyzer and the event schedule itself must agree —
     // batching (and the calendar queue beneath it) is observe-only.
     let cfg = ScenarioConfig::new(11, SimDuration::from_mins(3));
